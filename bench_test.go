@@ -2,7 +2,7 @@ package threadscan_test
 
 // Benchmark harness: one benchmark family per figure panel of the
 // paper's evaluation (Figure 3: throughput scaling; Figure 4:
-// oversubscription), plus the ablations from DESIGN.md and two
+// oversubscription), plus ablations of the paper's design choices and two
 // protocol micro-benchmarks.  Throughput is reported as the custom
 // metric "vops/s" (operations per *virtual* second — the simulator's
 // clock, comparable across schemes and hosts); ns/op measures host

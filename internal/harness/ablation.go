@@ -9,8 +9,9 @@ import (
 	"threadscan/internal/workload"
 )
 
-// Ablations for the design choices DESIGN.md calls out (A1-A4).  Each
-// returns its rows and can render itself as a table.
+// Ablations of the design choices: the paper's (A1 buffer size, A2 scan
+// cost, A3 scan lookup, A4 errant thread) and the extensions' (A5-A10).
+// Each returns its rows and can render itself as a table.
 
 // BufferRow is one point of the delete-buffer-size ablation (A1 — the
 // paper's §6 tuning: "increasing the size of the delete buffer ... is a

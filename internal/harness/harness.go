@@ -1,6 +1,7 @@
 // Package harness drives the paper's evaluation (§6): workload
 // generation, prefill, measurement, teardown, and the sweeps that
-// regenerate every figure plus the ablations DESIGN.md calls out.
+// regenerate every figure plus the design-choice ablations A1-A10
+// (`tsbench -ablation`; see the README's "tsbench" section).
 //
 // Methodology mirrors the paper: a sorted-set workload with a 20%
 // update ratio (half inserts, half removes, "so about 10% of all

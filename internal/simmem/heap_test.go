@@ -9,15 +9,16 @@ func checkedHeap() *Heap {
 }
 
 // expectViolation runs f and asserts it panics with a *Violation of the
-// given kind.
-func expectViolation(t *testing.T, kind ViolationKind, f func()) {
+// given kind, which it returns.
+func expectViolation(t *testing.T, kind ViolationKind, f func()) (v *Violation) {
 	t.Helper()
 	defer func() {
 		r := recover()
 		if r == nil {
 			t.Fatalf("expected %v violation, got none", kind)
 		}
-		v, ok := r.(*Violation)
+		var ok bool
+		v, ok = r.(*Violation)
 		if !ok {
 			panic(r)
 		}
@@ -26,6 +27,7 @@ func expectViolation(t *testing.T, kind ViolationKind, f func()) {
 		}
 	}()
 	f()
+	return nil
 }
 
 func TestAllocReturnsAlignedInArena(t *testing.T) {
@@ -112,12 +114,50 @@ func TestInteriorFreeDetected(t *testing.T) {
 	expectViolation(t, VBadFree, func() { h.Free(addr + 8) })
 }
 
+// TestNilAndWildAccess drives every bad-address class through all three
+// access primitives: each must raise the same kind, tagged with its op.
 func TestNilAndWildAccess(t *testing.T) {
 	h := checkedHeap()
-	expectViolation(t, VNilDeref, func() { h.Load(0) })
-	expectViolation(t, VUnaligned, func() { h.Load(h.Base() + 3) })
-	expectViolation(t, VWildAccess, func() { h.Load(h.Limit() + 8) })
-	expectViolation(t, VWildAccess, func() { h.Load(8) })
+	ops := []struct {
+		name   string
+		access func(addr uint64)
+	}{
+		{"load", func(a uint64) { h.Load(a) }},
+		{"store", func(a uint64) { h.Store(a, 1) }},
+		{"cas", func(a uint64) { h.CompareAndSwap(a, 0, 1) }},
+	}
+	cases := []struct {
+		addr uint64
+		kind ViolationKind
+	}{
+		{0, VNilDeref},
+		{h.Base() + 3, VUnaligned},
+		{h.Limit(), VWildAccess},
+		{h.Limit() + 8, VWildAccess},
+		{8, VWildAccess},
+		{h.Base() - 8, VWildAccess},
+	}
+	for _, op := range ops {
+		for _, tc := range cases {
+			v := expectViolation(t, tc.kind, func() { op.access(tc.addr) })
+			if v.Op != op.name || v.Addr != tc.addr {
+				t.Errorf("%s(%#x): violation op %q addr %#x", op.name, tc.addr, v.Op, v.Addr)
+			}
+		}
+	}
+}
+
+// TestUncheckedHeapStillRejectsBadAddresses pins that only the liveness
+// test depends on Check: bounds and alignment are enforced regardless.
+func TestUncheckedHeapStillRejectsBadAddresses(t *testing.T) {
+	h := New(Config{Words: 1 << 14})
+	expectViolation(t, VNilDeref, func() { h.Store(0, 1) })
+	expectViolation(t, VUnaligned, func() { h.CompareAndSwap(h.Base()+4, 0, 1) })
+	expectViolation(t, VWildAccess, func() { h.Load(h.Limit()) })
+	h.Store(h.Base(), 7) // never allocated, but unchecked
+	if got := h.Load(h.Base()); got != 7 {
+		t.Fatalf("unchecked load got %d", got)
+	}
 }
 
 func TestFreePoisons(t *testing.T) {
@@ -265,6 +305,28 @@ func TestCacheCrossThreadFree(t *testing.T) {
 	}
 }
 
+// TestLivenessBitsStraddleWords frees every other 3-word block so block
+// edges land inside and across the bitmap's 64-bit words, then checks
+// every word's liveness.
+func TestLivenessBitsStraddleWords(t *testing.T) {
+	h := checkedHeap()
+	var blocks []uint64
+	for i := 0; i < 100; i++ {
+		blocks = append(blocks, h.Alloc(24))
+	}
+	for i := 0; i < len(blocks); i += 2 {
+		h.Free(blocks[i])
+	}
+	for i, b := range blocks {
+		for w := uint64(0); w < 3; w++ {
+			if got, want := h.LiveAt(b+w*WordSize), i%2 == 1; got != want {
+				t.Fatalf("block %d word %d: LiveAt = %v, want %v", i, w, got, want)
+			}
+		}
+	}
+	expectViolation(t, VDoubleFree, func() { h.Free(blocks[98]) })
+}
+
 func TestLiveAt(t *testing.T) {
 	h := checkedHeap()
 	a := h.Alloc(32)
@@ -289,5 +351,18 @@ func TestClassSizeBytes(t *testing.T) {
 		if got := ClassSizeBytes(tc.req); got != tc.want {
 			t.Errorf("ClassSizeBytes(%d) = %d, want %d", tc.req, got, tc.want)
 		}
+	}
+}
+
+var benchSink uint64
+
+// BenchmarkHeapLoad times one checked load of a live word: the bounds,
+// alignment and liveness test every simulated access pays.
+func BenchmarkHeapLoad(b *testing.B) {
+	h := checkedHeap()
+	addr := h.Alloc(64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += h.Load(addr + uint64(i&7)*WordSize)
 	}
 }

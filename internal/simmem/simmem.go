@@ -62,8 +62,8 @@ type Config struct {
 
 	// Check enables per-word liveness tracking: loads and stores verify
 	// that the word belongs to a live allocation, frees verify block
-	// identity, and double frees are detected.  Costs one uint32 of
-	// host memory per arena word.
+	// identity, and double frees are detected.  Costs one bit of host
+	// memory per arena word.
 	Check bool
 
 	// Poison fills freed blocks with PoisonWord and newly allocated
@@ -121,15 +121,15 @@ type Stats struct {
 // Heap is a simulated word-addressable heap.
 type Heap struct {
 	cfg   Config
+	span  uint64   // arena size in bytes: addr is in the arena iff addr-Base < span
 	words []uint64 // the arena payload
-	state []uint32 // per-word allocation id; 0 = free (Check mode only)
+	live  []uint64 // liveness bitmap, one bit per word; nil unless Check
 
 	pools    []pool         // one per node region (one machine-wide pool under PolicyGlobal)
 	spanLive map[uint64]int // span base addr -> pages
 	pagemap  []uint16       // per page: 0 free, 1+class, spanStart, spanCont
 	pageNode []int8         // per page: resident node, fixed at carve time (-1 uncarved)
 
-	allocSeq uint32
 	rr       int // PolicyInterleave rotor
 	stats    Stats
 	observer Observer // batch-traffic hooks; nil when detached
@@ -175,6 +175,7 @@ func New(cfg Config) *Heap {
 	}
 	h := &Heap{
 		cfg:      cfg,
+		span:     uint64(cfg.Words) * WordSize,
 		words:    make([]uint64, cfg.Words),
 		pools:    make([]pool, np),
 		spanLive: make(map[uint64]int),
@@ -194,7 +195,7 @@ func New(cfg Config) *Heap {
 		}
 	}
 	if cfg.Check {
-		h.state = make([]uint32, cfg.Words)
+		h.live = make([]uint64, (cfg.Words+63)/64)
 	}
 	return h
 }
@@ -203,11 +204,11 @@ func New(cfg Config) *Heap {
 func (h *Heap) Base() uint64 { return h.cfg.Base }
 
 // Limit returns one past the last valid byte address.
-func (h *Heap) Limit() uint64 { return h.cfg.Base + uint64(h.cfg.Words)*WordSize }
+func (h *Heap) Limit() uint64 { return h.cfg.Base + h.span }
 
 // Contains reports whether addr falls inside the arena.
 func (h *Heap) Contains(addr uint64) bool {
-	return addr >= h.cfg.Base && addr < h.Limit()
+	return addr-h.cfg.Base < h.span
 }
 
 // Stats returns a snapshot of allocator counters.
@@ -294,33 +295,61 @@ func (h *Heap) wordIndex(addr uint64, op string) int {
 	return int((addr - h.cfg.Base) / WordSize)
 }
 
+// liveWord reports whether arena word i belongs to a live allocation
+// (always true when checking is disabled).
+func (h *Heap) liveWord(i uint64) bool {
+	return h.live == nil || h.live[i/64]&(1<<(i%64)) != 0
+}
+
+// setLive sets or clears the liveness bits of words [i, i+n).
+func (h *Heap) setLive(i, n int, on bool) {
+	for j := i; j < i+n; j++ {
+		if on {
+			h.live[j/64] |= 1 << (j % 64)
+		} else {
+			h.live[j/64] &^= 1 << (j % 64)
+		}
+	}
+}
+
+// access returns the word index of addr for a load, store or CAS.  One
+// combined test covers every check: off is unsigned, so nil and
+// below-base addresses wrap past span.  Any failure goes to fault,
+// which classifies it.
+func (h *Heap) access(addr uint64, op string) uint64 {
+	off := addr - h.cfg.Base
+	if off >= h.span || off%WordSize != 0 || !h.liveWord(off/WordSize) {
+		h.fault(addr, op)
+	}
+	return off / WordSize
+}
+
+// fault classifies a failed access and panics with its Violation,
+// re-running the checks in wordIndex's order: nil, unaligned, wild,
+// then use after free.
+//
+//go:noinline
+func (h *Heap) fault(addr uint64, op string) {
+	h.wordIndex(addr, op)
+	panic(&Violation{Kind: VUseAfterFree, Addr: addr, Op: op})
+}
+
 // Load reads the word at addr.  In checked mode it verifies the word
 // belongs to a live allocation.
 func (h *Heap) Load(addr uint64) uint64 {
-	i := h.wordIndex(addr, "load")
-	if h.state != nil && h.state[i] == 0 {
-		panic(&Violation{Kind: VUseAfterFree, Addr: addr, Op: "load"})
-	}
-	return h.words[i]
+	return h.words[h.access(addr, "load")]
 }
 
 // Store writes val to the word at addr, with the same checks as Load.
 func (h *Heap) Store(addr uint64, val uint64) {
-	i := h.wordIndex(addr, "store")
-	if h.state != nil && h.state[i] == 0 {
-		panic(&Violation{Kind: VUseAfterFree, Addr: addr, Op: "store"})
-	}
-	h.words[i] = val
+	h.words[h.access(addr, "store")] = val
 }
 
 // CompareAndSwap atomically (with respect to simulated threads, which
 // the scheduler serializes) replaces the word at addr with new if it
 // currently equals old.  It reports whether the swap happened.
 func (h *Heap) CompareAndSwap(addr uint64, old, new uint64) bool {
-	i := h.wordIndex(addr, "cas")
-	if h.state != nil && h.state[i] == 0 {
-		panic(&Violation{Kind: VUseAfterFree, Addr: addr, Op: "cas"})
-	}
+	i := h.access(addr, "cas")
 	if h.words[i] != old {
 		return false
 	}
@@ -602,13 +631,11 @@ func (h *Heap) blockWords(addr uint64, op string) int {
 func (h *Heap) checkFree(addr uint64) int {
 	words := h.blockWords(addr, "free")
 	i := h.wordIndex(addr, "free")
-	if h.state != nil {
-		if h.state[i] == 0 {
+	if h.live != nil {
+		if !h.liveWord(uint64(i)) {
 			panic(&Violation{Kind: VDoubleFree, Addr: addr, Op: "free"})
 		}
-		for j := i; j < i+words; j++ {
-			h.state[j] = 0
-		}
+		h.setLive(i, words, false)
 	}
 	if h.cfg.Poison {
 		for j := i; j < i+words; j++ {
@@ -624,14 +651,8 @@ func (h *Heap) checkFree(addr uint64) int {
 // finishAlloc marks a block live and clears it.
 func (h *Heap) finishAlloc(addr uint64, words int) {
 	i := int((addr - h.cfg.Base) / WordSize)
-	h.allocSeq++
-	if h.allocSeq == 0 {
-		h.allocSeq = 1
-	}
-	if h.state != nil {
-		for j := i; j < i+words; j++ {
-			h.state[j] = h.allocSeq
-		}
+	if h.live != nil {
+		h.setLive(i, words, true)
 	}
 	if h.cfg.Poison {
 		for j := i; j < i+words; j++ {
@@ -783,11 +804,11 @@ func (h *Heap) MisplacedBlocks() int {
 // LiveAt reports whether the word at addr currently belongs to a live
 // allocation.  It always returns true when checking is disabled.
 func (h *Heap) LiveAt(addr uint64) bool {
-	if h.state == nil {
+	if h.live == nil {
 		return h.Contains(addr)
 	}
 	if !h.Contains(addr) || addr%WordSize != 0 {
 		return false
 	}
-	return h.state[(addr-h.cfg.Base)/WordSize] != 0
+	return h.liveWord((addr - h.cfg.Base) / WordSize)
 }

@@ -182,7 +182,15 @@ func (t *Thread) Charge(cost int64) { t.charge(cost) }
 // safepoint is an instruction boundary: pending signals are delivered
 // here, and the quantum is surrendered here when expired.  Between two
 // safepoints a thread runs "atomically" with respect to the simulation.
+// The common case — nothing pending, quantum left — returns inline.
 func (t *Thread) safepoint() {
+	if t.sigPending == 0 && t.now < t.quantumEnd {
+		return
+	}
+	t.safepointSlow()
+}
+
+func (t *Thread) safepointSlow() {
 	for {
 		if t.sigPending != 0 && t.sigDepth == 0 {
 			t.deliverSignals()
@@ -204,9 +212,17 @@ func (t *Thread) Safepoint() { t.safepoint() }
 // Register file.
 
 func (t *Thread) checkReg(r int) {
-	if r < 0 || r >= NumRegs {
-		panic(fmt.Sprintf("simt: register %d out of range", r))
+	if uint(r) >= NumRegs {
+		badReg(r)
 	}
+}
+
+// badReg is checkReg's cold failure path, kept out of line so Reg stays
+// inlinable and the check inlines into SetReg and the memory primitives.
+//
+//go:noinline
+func badReg(r int) {
+	panic(fmt.Sprintf("simt: register %d out of range", r))
 }
 
 // Reg returns the value of register r.
@@ -307,8 +323,16 @@ func (t *Thread) RootWords() int { return NumRegs + t.sp }
 // a modeled cache miss, or any access when the cache model is off —
 // is a line fill; a fill whose home node differs from the accessing
 // core's node additionally pays Costs.RemoteFill (the interconnect
-// hop) and counts in SimStats.RemoteLineFills.
+// hop) and counts in SimStats.RemoteLineFills.  With the cache model off
+// on a flat machine the cost is base, returned inline.
 func (t *Thread) memCost(base int64, addr uint64) int64 {
+	if t.sim.caches == nil && t.sim.topo.nodes <= 1 {
+		return base
+	}
+	return t.modeledMemCost(base, addr)
+}
+
+func (t *Thread) modeledMemCost(base int64, addr uint64) int64 {
 	fill := true
 	if t.sim.caches != nil {
 		fill = !t.sim.caches[t.core].access(addr)

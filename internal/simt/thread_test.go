@@ -2,6 +2,7 @@ package simt
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -29,14 +30,33 @@ func TestRegisterFile(t *testing.T) {
 	})
 }
 
+// TestRegisterBounds pins the out-of-range register panic on every
+// path that checks a register index: reads, writes, and a load's
+// destination.
 func TestRegisterBounds(t *testing.T) {
 	inThread(t, func(th *Thread) {
-		defer func() {
-			if recover() == nil {
-				t.Error("out-of-range register access did not panic")
-			}
-		}()
-		th.SetReg(NumRegs, 1)
+		th.Alloc(0, 8)
+		for _, tc := range []struct {
+			r   int
+			use func()
+		}{
+			{NumRegs, func() { th.SetReg(NumRegs, 1) }},
+			{-1, func() { th.SetReg(-1, 1) }},
+			{-1, func() { th.Reg(-1) }},
+			{NumRegs, func() { th.Reg(NumRegs) }},
+			{NumRegs, func() { th.Load(NumRegs, 0, 0) }},
+			{-1, func() { th.Load(-1, 0, 0) }},
+		} {
+			want := fmt.Sprintf("simt: register %d out of range", tc.r)
+			func() {
+				defer func() {
+					if got := recover(); got != want {
+						t.Errorf("register %d: panic %v, want %q", tc.r, got, want)
+					}
+				}()
+				tc.use()
+			}()
+		}
 	})
 }
 

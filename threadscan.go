@@ -22,9 +22,9 @@
 //     (internal/harness).
 //
 // This package is the public facade: thin constructors and type
-// aliases over those internals.  See README.md for a tour, DESIGN.md
-// for the substitution rationale, and EXPERIMENTS.md for measured
-// results against the paper's.
+// aliases over those internals.  See README.md for a tour and for why
+// the system runs on a simulated substrate (its introduction and
+// "Determinism" section), and bench/README.md for measured results.
 //
 // # Quick start
 //
@@ -142,7 +142,9 @@ func NewSlowEpoch(sim *Sim, batch int, delayCycles int64) Scheme {
 }
 
 // NewStackTrack returns the StackTrack-style published-live-set
-// baseline (extension; see DESIGN.md S11).
+// baseline, an extension beyond the paper's baselines: threads publish
+// shadow copies of their registers and stack that reclaimers scan
+// instead of signalling (see internal/reclaim/stacktrack.go).
 func NewStackTrack(sim *Sim, cfg StackTrackConfig) Scheme { return reclaim.NewStackTrack(sim, cfg) }
 
 // Benchmark data structures (the paper's §6 workloads, plus the
