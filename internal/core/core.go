@@ -269,9 +269,10 @@ type Stats struct {
 // simulation.  Create it with New before Sim.Run; it hooks thread
 // start/exit and installs the scan signal handler.
 type ThreadScan struct {
-	sim *simt.Sim
-	cfg Config
-	obs *obs.Recorder // == cfg.Obs; nil-safe on every call
+	sim  *simt.Sim
+	cfg  Config
+	cost simt.CostModel // sim's cost model, immutable after simt.New
+	obs  *obs.Recorder  // == cfg.Obs; nil-safe on every call
 
 	lock *simt.Mutex // at most one reclaimer (paper §4.2)
 
@@ -358,6 +359,7 @@ func New(sim *simt.Sim, cfg Config) *ThreadScan {
 	ts := &ThreadScan{
 		sim:        sim,
 		cfg:        cfg,
+		cost:       sim.Config().Costs,
 		obs:        cfg.Obs,
 		lock:       sim.NewMutex("threadscan.reclaim"),
 		shards:     newShardSet(cfg.Shards, sim.Nodes()),
@@ -725,7 +727,7 @@ func (ts *ThreadScan) FlushAll(t *simt.Thread) int {
 	return ts.Buffered()
 }
 
-func (ts *ThreadScan) costs() simt.CostModel { return ts.sim.Config().Costs }
+func (ts *ThreadScan) costs() *simt.CostModel { return &ts.cost }
 
 // collect is TS-Collect (Algorithm 1, lines 1–16), run as a sharded
 // pipeline: aggregate into K address-sharded sub-buffers, prepare

@@ -114,33 +114,38 @@ func checkKey(key uint64) {
 // with key >= target (rCurr; 0 if none), snipping marked nodes along
 // the way (Harris' physical deletion during traversal).  The caller
 // receives rPrev/rCurr ready for a CAS.
+//
+// Without a per-step discipline the walk between snips is a plain load
+// sequence, run as one Thread.ChaseSorted; hazard and era schemes
+// publish and validate every node, so they step one node at a time.
 func (c *listCore) search(th *simt.Thread, headLink, key uint64) {
 	disc := disciplined(c.scheme)
 retry:
 	for {
 		th.SetReg(rPrev, headLink)
 		th.Load(rCurr, rPrev, 0)
+		for !disc {
+			if th.ChaseSorted(rPrev, rCurr, rNext, rTmp, listNext, listKey, key, true) != simt.ChaseMarked {
+				return
+			}
+			if !c.snip(th) {
+				continue retry
+			}
+		}
 		slot := hpA
 		for {
 			if th.Reg(rCurr) == 0 {
 				return // end of list
 			}
-			if disc {
-				if c.scheme.Protect(th, slot, rCurr) && !validate(th) {
-					continue retry
-				}
-				slot ^= 1 // keep the previous node's hazard alive
+			if c.scheme.Protect(th, slot, rCurr) && !validate(th) {
+				continue retry
 			}
+			slot ^= 1 // keep the previous node's hazard alive
 			th.Load(rNext, rCurr, listNext)
 			if th.Reg(rNext)&1 != 0 {
-				// Current node is logically deleted: snip it.  Whoever
-				// wins the CAS owns the retirement.
-				th.SetReg(rTmp, th.Reg(rNext)&^1)
-				if !th.CAS(rPrev, 0, rCurr, rTmp) {
+				if !c.snip(th) {
 					continue retry
 				}
-				c.scheme.Retire(th, th.Reg(rCurr))
-				th.CopyReg(rCurr, rTmp)
 				continue
 			}
 			th.Load(rTmp, rCurr, listKey)
@@ -152,6 +157,20 @@ retry:
 			th.SetReg(rCurr, th.Reg(rNext))
 		}
 	}
+}
+
+// snip unlinks the logically deleted node in rCurr, whose successor
+// word is in rNext, from the link in rPrev, and advances rCurr to the
+// successor.  Whoever wins the CAS owns the retirement; false means the
+// link changed under us and the search must restart.
+func (c *listCore) snip(th *simt.Thread) bool {
+	th.SetReg(rTmp, th.Reg(rNext)&^1)
+	if !th.CAS(rPrev, 0, rCurr, rTmp) {
+		return false
+	}
+	c.scheme.Retire(th, th.Reg(rCurr))
+	th.CopyReg(rCurr, rTmp)
+	return true
 }
 
 // insert adds key with the given value, reporting false if present.
@@ -224,17 +243,21 @@ retry:
 	for {
 		th.SetReg(rPrev, headLink)
 		th.Load(rCurr, rPrev, 0)
+		if !disc {
+			if th.ChaseSorted(rPrev, rCurr, rNext, rTmp, listNext, listKey, key, false) == simt.ChaseEnd {
+				return false
+			}
+			return th.Reg(rTmp) == key && th.Reg(rNext)&1 == 0
+		}
 		slot := hpA
 		for {
 			if th.Reg(rCurr) == 0 {
 				return false
 			}
-			if disc {
-				if c.scheme.Protect(th, slot, rCurr) && !validate(th) {
-					continue retry
-				}
-				slot ^= 1
+			if c.scheme.Protect(th, slot, rCurr) && !validate(th) {
+				continue retry
 			}
+			slot ^= 1
 			th.Load(rNext, rCurr, listNext)
 			th.Load(rTmp, rCurr, listKey)
 			if th.Reg(rTmp) >= key {

@@ -38,11 +38,14 @@ func TestFlatModelMatchesCapturedBaseline(t *testing.T) {
 	// Replay a cross-section of the grid: one flat scenario per family
 	// against distinct structures and schemes, plus a multi-node row —
 	// Nodes > 1 with per-node routing *disabled* must also stay
-	// bit-identical, the per-node refactor's safety contract.  (The
-	// full grid is the CI bench job's business; this keeps `go test`
-	// minutes-free.)
+	// bit-identical, the per-node refactor's safety contract.  The two
+	// extra list rows walk the list under snips racing collects and
+	// under signals to descheduled walkers.  (CI replays the full grid
+	// in its test job; this keeps `go test` minutes-free.)
 	want := map[[3]string]bool{
 		{"uniform-baseline", "list", "threadscan"}: true,
+		{"delete-storm", "list", "threadscan"}:     true,
+		{"oversubscribed", "list", "epoch"}:        true,
 		{"delete-storm", "stack", "epoch"}:         true,
 		{"thread-churn", "queue", "threadscan"}:    true,
 		{"numa-split", "stack", "threadscan"}:      true,

@@ -20,8 +20,8 @@ import (
 // single delayed thread stalls every reclaimer (the "Slow Epoch" series
 // of Figure 3).  EpochConfig.Delay* reproduces that errant thread.
 type Epoch struct {
-	sim *simt.Sim
-	cfg EpochConfig
+	cfg   EpochConfig
+	costs simt.CostModel // sim's cost model, immutable after simt.New
 
 	counters []uint64   // [threadID] odd = in operation
 	live     []bool     // [threadID] participates in grace periods
@@ -71,7 +71,7 @@ func (c *EpochConfig) fill() {
 // NewEpoch creates an epoch-based reclamation domain bound to sim.
 func NewEpoch(sim *simt.Sim, cfg EpochConfig) *Epoch {
 	cfg.fill()
-	e := &Epoch{sim: sim, cfg: cfg}
+	e := &Epoch{cfg: cfg, costs: sim.Config().Costs}
 	sim.OnThreadStart(e.threadStart)
 	sim.OnThreadExit(e.threadExit)
 	return e
@@ -117,7 +117,7 @@ func (e *Epoch) Discipline() Discipline { return DisciplineNone }
 func (e *Epoch) BeginOp(t *simt.Thread) {
 	id := t.ID()
 	e.counters[id]++
-	t.Charge(e.sim.Config().Costs.Store)
+	t.Charge(e.costs.Store)
 }
 
 // EndOp implements Scheme: leave the epoch (counter becomes even), then
@@ -127,7 +127,7 @@ func (e *Epoch) BeginOp(t *simt.Thread) {
 // stalls every concurrent reclaimer's grace period.
 func (e *Epoch) EndOp(t *simt.Thread) {
 	id := t.ID()
-	c := e.sim.Config().Costs
+	c := &e.costs
 	due := len(e.retired[id]) >= e.cfg.Batch || len(e.orphans) >= e.cfg.Batch
 	if due && e.cfg.DelayCycles > 0 && id == e.cfg.DelayVictim {
 		e.opCount[id]++
@@ -151,7 +151,7 @@ func (e *Epoch) Protect(*simt.Thread, int, int) bool { return false }
 func (e *Epoch) Retire(t *simt.Thread, addr uint64) {
 	id := t.ID()
 	start := t.Now()
-	t.Charge(e.sim.Config().Costs.Store)
+	t.Charge(e.costs.Store)
 	e.stats.Retired++
 	e.stats.notePeak()
 	e.retired[id] = append(e.retired[id], addr&^7)
@@ -161,7 +161,7 @@ func (e *Epoch) Retire(t *simt.Thread, addr uint64) {
 // reclaim waits out one grace period and frees the batch.  Must be
 // called from a quiescent point (caller's counter even).
 func (e *Epoch) reclaim(t *simt.Thread) {
-	c := e.sim.Config().Costs
+	c := &e.costs
 	id := t.ID()
 	e.stats.ReclaimPasses++
 	e.cfg.Obs.Begin(t, obs.StageCollect)

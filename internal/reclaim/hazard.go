@@ -19,8 +19,8 @@ import (
 // the O(n) list and O(log n) skip list, tolerable on short hash
 // buckets.
 type Hazard struct {
-	sim *simt.Sim
-	cfg HazardConfig
+	cfg   HazardConfig
+	costs simt.CostModel // sim's cost model, immutable after simt.New
 
 	slots   [][]uint64 // [threadID][slot] published addresses
 	retired [][]uint64 // [threadID] retire lists
@@ -57,7 +57,7 @@ func (c *HazardConfig) fill() {
 // NewHazard creates a hazard-pointer domain bound to sim.
 func NewHazard(sim *simt.Sim, cfg HazardConfig) *Hazard {
 	cfg.fill()
-	h := &Hazard{sim: sim, cfg: cfg}
+	h := &Hazard{cfg: cfg, costs: sim.Config().Costs}
 	sim.OnThreadStart(h.threadStart)
 	sim.OnThreadExit(h.threadExit)
 	return h
@@ -94,7 +94,7 @@ func (h *Hazard) BeginOp(*simt.Thread) {}
 // EndOp implements Scheme by clearing the thread's hazard slots, so
 // finished operations stop pinning nodes.
 func (h *Hazard) EndOp(t *simt.Thread) {
-	c := h.sim.Config().Costs
+	c := &h.costs
 	slots := h.slots[t.ID()]
 	for i := range slots {
 		if slots[i] != 0 {
@@ -108,7 +108,7 @@ func (h *Hazard) EndOp(t *simt.Thread) {
 // Returns true — hazard pointers require the caller to re-validate the
 // link before trusting the protected pointer.
 func (h *Hazard) Protect(t *simt.Thread, slot int, reg int) bool {
-	c := h.sim.Config().Costs
+	c := &h.costs
 	h.slots[t.ID()][slot] = t.Reg(reg) &^ 7
 	t.Charge(c.Store)
 	t.Fence()
@@ -122,7 +122,7 @@ func (h *Hazard) Protect(t *simt.Thread, slot int, reg int) bool {
 func (h *Hazard) Retire(t *simt.Thread, addr uint64) {
 	addr &^= 7
 	start := t.Now()
-	c := h.sim.Config().Costs
+	c := &h.costs
 	t.Charge(c.Store)
 	h.stats.Retired++
 	h.stats.notePeak()
@@ -137,7 +137,7 @@ func (h *Hazard) Retire(t *simt.Thread, addr uint64) {
 // scan is Michael's Scan: snapshot all hazard slots, free every retired
 // node not present, keep the rest.
 func (h *Hazard) scan(t *simt.Thread) {
-	c := h.sim.Config().Costs
+	c := &h.costs
 	h.stats.ReclaimPasses++
 	id := t.ID()
 	h.cfg.Obs.Begin(t, obs.StageCollect)

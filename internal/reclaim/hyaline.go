@@ -37,8 +37,8 @@ import (
 // through the scheme — defaults to birth era 0, the conservative "as
 // old as anything" choice: its batch references every active reader.
 type Hyaline struct {
-	sim *simt.Sim
-	cfg HyalineConfig
+	cfg   HyalineConfig
+	costs simt.CostModel // sim's cost model, immutable after simt.New
 
 	era uint64 // global era; advances at every batch seal
 
@@ -85,7 +85,7 @@ func (c *HyalineConfig) fill() {
 // to sim.
 func NewHyaline(sim *simt.Sim, cfg HyalineConfig) *Hyaline {
 	cfg.fill()
-	h := &Hyaline{sim: sim, cfg: cfg, birth: make(map[uint64]uint64)}
+	h := &Hyaline{cfg: cfg, costs: sim.Config().Costs, birth: make(map[uint64]uint64)}
 	sim.OnThreadStart(h.threadStart)
 	sim.OnThreadExit(h.threadExit)
 	return h
@@ -122,7 +122,7 @@ func (h *Hyaline) Discipline() Discipline { return DisciplineEra }
 // BeginOp implements Scheme: publish the reservation [era, era].
 func (h *Hyaline) BeginOp(t *simt.Thread) {
 	id := t.ID()
-	c := h.sim.Config().Costs
+	c := &h.costs
 	h.active[id] = true
 	h.lo[id] = h.era
 	h.hi[id] = h.era
@@ -136,7 +136,7 @@ func (h *Hyaline) BeginOp(t *simt.Thread) {
 func (h *Hyaline) EndOp(t *simt.Thread) {
 	id := t.ID()
 	h.active[id] = false
-	t.Charge(h.sim.Config().Costs.Store)
+	t.Charge(h.costs.Store)
 	h.adjust(t, id)
 }
 
@@ -149,7 +149,7 @@ func (h *Hyaline) EndOp(t *simt.Thread) {
 // any batch it later joins must hand this thread a reference.
 func (h *Hyaline) Protect(t *simt.Thread, _ int, _ int) bool {
 	id := t.ID()
-	c := h.sim.Config().Costs
+	c := &h.costs
 	h.stats.Protects++
 	t.Charge(c.Load) // read the global era
 	if h.hi[id] != h.era {
@@ -162,7 +162,7 @@ func (h *Hyaline) Protect(t *simt.Thread, _ int, _ int) bool {
 // NoteAlloc implements BirthStamper: stamp the node's birth era.  The
 // stamp would live in the node's header on real hardware — one store.
 func (h *Hyaline) NoteAlloc(t *simt.Thread, addr uint64) {
-	t.Charge(h.sim.Config().Costs.Store)
+	t.Charge(h.costs.Store)
 	h.birth[addr&^7] = h.era
 }
 
@@ -172,7 +172,7 @@ func (h *Hyaline) NoteAlloc(t *simt.Thread, addr uint64) {
 func (h *Hyaline) Retire(t *simt.Thread, addr uint64) {
 	id := t.ID()
 	start := t.Now()
-	t.Charge(h.sim.Config().Costs.Store)
+	t.Charge(h.costs.Store)
 	h.stats.Retired++
 	h.stats.notePeak()
 	h.cur[id] = append(h.cur[id], addr&^7)
@@ -195,7 +195,7 @@ func (h *Hyaline) seal(t *simt.Thread, owner int) {
 		return
 	}
 	h.cur[owner] = nil
-	c := h.sim.Config().Costs
+	c := &h.costs
 	h.cfg.Obs.Begin(t, obs.StageCollect)
 	defer h.cfg.Obs.End(t)
 	h.stats.ReclaimPasses++
@@ -238,7 +238,7 @@ func (h *Hyaline) adjust(t *simt.Thread, id int) {
 		return
 	}
 	h.entered[id] = nil
-	c := h.sim.Config().Costs
+	c := &h.costs
 	start := t.Now()
 	for _, b := range batches {
 		t.Charge(c.CAS) // remote decrement (fetch-and-add)

@@ -28,8 +28,8 @@ import (
 // Epoch, a stalled thread stalls reclaimers: only the signal mechanism
 // removes that dependence.
 type StackTrack struct {
-	sim *simt.Sim
-	cfg StackTrackConfig
+	cfg   StackTrackConfig
+	costs simt.CostModel // sim's cost model, immutable after simt.New
 
 	shadows  [][]uint64 // [threadID] last published root set
 	segCount []uint64   // [threadID] publications so far
@@ -70,7 +70,7 @@ func (c *StackTrackConfig) fill() {
 // NewStackTrack creates a StackTrack-style domain bound to sim.
 func NewStackTrack(sim *simt.Sim, cfg StackTrackConfig) *StackTrack {
 	cfg.fill()
-	st := &StackTrack{sim: sim, cfg: cfg}
+	st := &StackTrack{cfg: cfg, costs: sim.Config().Costs}
 	sim.OnThreadStart(st.threadStart)
 	sim.OnThreadExit(st.threadExit)
 	return st
@@ -108,7 +108,7 @@ func (st *StackTrack) Discipline() Discipline { return DisciplinePublish }
 // bumps the publication counter — the analog of an HTM segment commit.
 func (st *StackTrack) publish(t *simt.Thread) {
 	id := t.ID()
-	c := st.sim.Config().Costs
+	c := &st.costs
 	sh := st.shadows[id][:0]
 	t.ScanRoots(func(w uint64) { sh = append(sh, w) })
 	st.shadows[id] = sh
@@ -151,7 +151,7 @@ func (st *StackTrack) Protect(t *simt.Thread, _ int, _ int) bool {
 func (st *StackTrack) Retire(t *simt.Thread, addr uint64) {
 	id := t.ID()
 	start := t.Now()
-	t.Charge(st.sim.Config().Costs.Store)
+	t.Charge(st.costs.Store)
 	st.stats.Retired++
 	st.stats.notePeak()
 	st.retired[id] = append(st.retired[id], addr&^7)
@@ -162,7 +162,7 @@ func (st *StackTrack) Retire(t *simt.Thread, addr uint64) {
 // quiescent point (EndOp), like Epoch, so reclaimers cannot block each
 // other.
 func (st *StackTrack) reclaim(t *simt.Thread) {
-	c := st.sim.Config().Costs
+	c := &st.costs
 	id := t.ID()
 	st.stats.ReclaimPasses++
 	st.cfg.Obs.Begin(t, obs.StageCollect)
@@ -227,7 +227,7 @@ func (st *StackTrack) reclaim(t *simt.Thread) {
 }
 
 func (st *StackTrack) mark(t *simt.Thread, w uint64, candidates []uint64, marks []bool) {
-	c := st.sim.Config().Costs
+	c := &st.costs
 	p := w &^ 7
 	t.Charge(int64(log2ceil(len(candidates)+1)) * (c.Load + c.Step))
 	i := sort.Search(len(candidates), func(i int) bool { return candidates[i] >= p })

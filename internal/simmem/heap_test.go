@@ -325,6 +325,27 @@ func TestLivenessBitsStraddleWords(t *testing.T) {
 		}
 	}
 	expectViolation(t, VDoubleFree, func() { h.Free(blocks[98]) })
+
+	// Blocks covering more than two bitmap words: 160-word blocks start
+	// and end mid-word around whole middle words; a span is whole words.
+	sizes := []int{160, 160, 160, 3 * PageWords}
+	var wide []uint64
+	for _, words := range sizes {
+		wide = append(wide, h.Alloc(words*WordSize))
+	}
+	h.Free(wide[1])
+	h.Free(wide[3])
+	for i, b := range wide {
+		for w := 0; w < sizes[i]; w++ {
+			if got, want := h.LiveAt(b+uint64(w)*WordSize), i%2 == 0; got != want {
+				t.Fatalf("wide block %d word %d: LiveAt = %v, want %v", i, w, got, want)
+			}
+		}
+	}
+	expectViolation(t, VDoubleFree, func() { h.Free(wide[1]) })
+	// A freed span is no longer a span base, so its double free is
+	// refused before the liveness check.
+	expectViolation(t, VBadFree, func() { h.Free(wide[3]) })
 }
 
 func TestLiveAt(t *testing.T) {

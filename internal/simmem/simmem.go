@@ -301,13 +301,23 @@ func (h *Heap) liveWord(i uint64) bool {
 	return h.live == nil || h.live[i/64]&(1<<(i%64)) != 0
 }
 
-// setLive sets or clears the liveness bits of words [i, i+n).
+// setLive sets or clears the liveness bits of words [i, i+n), n > 0, a
+// bitmap word at a time: the head and tail words are masked to the
+// range, the words between them are written whole.
 func (h *Heap) setLive(i, n int, on bool) {
-	for j := i; j < i+n; j++ {
+	first, last := i/64, (i+n-1)/64
+	for w := first; w <= last; w++ {
+		m := ^uint64(0)
+		if w == first {
+			m <<= uint(i % 64)
+		}
+		if w == last {
+			m &= ^uint64(0) >> uint(63-(i+n-1)%64)
+		}
 		if on {
-			h.live[j/64] |= 1 << (j % 64)
+			h.live[w] |= m
 		} else {
-			h.live[j/64] &^= 1 << (j % 64)
+			h.live[w] &^= m
 		}
 	}
 }

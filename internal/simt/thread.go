@@ -381,6 +381,65 @@ func (t *Thread) Load(dst, addrReg int, offWords int) {
 	t.regs[dst] = v
 }
 
+// Reasons ChaseSorted stops.
+const (
+	ChaseEnd    = iota // regs[rCurr] is 0: the walk ran off the end
+	ChaseMarked        // regs[rNext] carries the mark bit (stopOnMark only)
+	ChaseFound         // regs[rKey] >= key: rCurr is the first node at or past key
+)
+
+// ChaseSorted walks a sorted linked list whose nodes hold a key at word
+// keyOff and a successor word, low bit the deletion mark, at word
+// nextOff.  It starts at the node in regs[rCurr], with regs[rPrev]
+// naming the link word that holds it, and repeats the uninstrumented
+// traversal step
+//
+//	if regs[rCurr] == 0 { return ChaseEnd }
+//	Load(rNext, rCurr, nextOff)
+//	if stopOnMark && regs[rNext]&1 != 0 { return ChaseMarked }
+//	Load(rKey, rCurr, keyOff)
+//	if regs[rKey] >= key { return ChaseFound }
+//	SetReg(rPrev, regs[rCurr]+nextOff*8)
+//	SetReg(rCurr, regs[rNext]&^1)
+//
+// until one of the returns fires.  It is that sequence fused into one
+// call, not an approximation of it: every access pays its own memCost,
+// charge and safepoint, and every register write its own RegOp, in the
+// same order, so cache-model, topology, signal and quantum behavior are
+// those of the per-call sequence.  Registers are re-read after each
+// safepoint, because a handler may run there.
+func (t *Thread) ChaseSorted(rPrev, rCurr, rNext, rKey int, nextOff, keyOff int, key uint64, stopOnMark bool) int {
+	t.checkReg(rPrev)
+	t.checkReg(rCurr)
+	t.checkReg(rNext)
+	t.checkReg(rKey)
+	nextBytes := uint64(nextOff) * simmem.WordSize
+	keyBytes := uint64(keyOff) * simmem.WordSize
+	costs := &t.sim.cfg.Costs
+	heap := t.sim.heap
+	for t.regs[rCurr] != 0 {
+		addr := t.regs[rCurr] + nextBytes
+		t.charge(t.memCost(costs.Load, addr))
+		t.safepoint()
+		t.regs[rNext] = heap.Load(addr)
+		if stopOnMark && t.regs[rNext]&1 != 0 {
+			return ChaseMarked
+		}
+		addr = t.regs[rCurr] + keyBytes
+		t.charge(t.memCost(costs.Load, addr))
+		t.safepoint()
+		t.regs[rKey] = heap.Load(addr)
+		if t.regs[rKey] >= key {
+			return ChaseFound
+		}
+		t.charge(costs.RegOp)
+		t.regs[rPrev] = t.regs[rCurr] + nextBytes
+		t.charge(costs.RegOp)
+		t.regs[rCurr] = t.regs[rNext] &^ 1
+	}
+	return ChaseEnd
+}
+
 // Store writes regs[srcReg] to the word at regs[addrReg] + offWords*8.
 func (t *Thread) Store(addrReg int, offWords int, srcReg int) {
 	t.storeVal(addrReg, offWords, t.Reg(srcReg))

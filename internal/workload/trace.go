@@ -8,6 +8,8 @@ package workload
 // to scheduling, distributions, or structure behavior shows up as a
 // digest change long before it shows up as a statistics change.
 
+import "math/bits"
+
 const (
 	fnvOffset = 0xcbf29ce484222325
 	fnvPrime  = 0x100000001b3
@@ -52,12 +54,25 @@ func CombineTraces(sums []uint64) uint64 {
 	return h
 }
 
-// fnvWord folds one 64-bit word into an FNV-1a state byte by byte.
+// fnvPow[k] is fnvPrime^k.
+var fnvPow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
+	}
+	return p
+}()
+
+// fnvWord folds one 64-bit word into an FNV-1a state byte by byte, low
+// byte first.  A zero byte folds as a bare multiply by the prime, so
+// the zero bytes above the word's significant ones fold together as
+// one multiply by fnvPrime^count — bit-identical to eight byte steps.
 func fnvWord(h, w uint64) uint64 {
-	for i := 0; i < 8; i++ {
+	n := (bits.Len64(w) + 7) / 8
+	for i := 0; i < n; i++ {
 		h ^= w & 0xFF
 		h *= fnvPrime
 		w >>= 8
 	}
-	return h
+	return h * fnvPow[8-n]
 }

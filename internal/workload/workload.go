@@ -318,6 +318,14 @@ func (s *Scenario) Fill() error {
 	if len(s.Phases) == 0 {
 		s.Phases = []Phase{{Name: "steady", Mix: Mix{InsertPct: 10, RemovePct: 10}}}
 	}
+	// Copies of a Scenario share its Phases array and Churn record, and
+	// concurrent runs of one spec each call Fill: default a private copy
+	// so those runs never write the same memory.
+	s.Phases = append([]Phase(nil), s.Phases...)
+	if s.Churn != nil {
+		c := *s.Churn
+		s.Churn = &c
+	}
 	for i := range s.Phases {
 		p := &s.Phases[i]
 		if p.Duration <= 0 {
