@@ -431,6 +431,15 @@ func (ts *ThreadScan) Stats() Stats {
 	return st
 }
 
+// Backlog returns the retired-but-unresolved node count: nodes handed
+// to Free minus those freed (by the reclaimer or by helping scanners)
+// and duplicate retires absorbed by dedup.  It reads four counters in
+// place, so per-retire callers avoid Stats' copy and slice allocations.
+func (ts *ThreadScan) Backlog() uint64 {
+	st := &ts.stats
+	return st.Frees - (st.Reclaimed + st.HelpFreed + st.DoubleRetires)
+}
+
 // PerNode reports whether per-node retirement routing is active (the
 // config asked for it and the machine has more than one node).
 func (ts *ThreadScan) PerNode() bool { return ts.perNode }

@@ -1,6 +1,6 @@
 package core
 
-import "sort"
+import "slices"
 
 // The sharded master buffer of the TS-Collect pipeline.
 //
@@ -146,7 +146,7 @@ func (s *shardSet) reset() {
 // referenced address protect every retire of it).  Idempotent: applying
 // it to its own output removes nothing further.
 func sortDedup(buf []uint64) ([]uint64, int) {
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	slices.Sort(buf)
 	dups := 0
 	w := 0
 	for i, a := range buf {

@@ -536,9 +536,7 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 				// Last responsibilities fall to worker 0: wait until
 				// every mutator (persistent or churned) has dropped its
 				// references, then flush the scheme and stop telemetry.
-				for r.mutators > 0 || !r.spawningDone {
-					th.Pause()
-				}
+				th.SpinWait(func() bool { return r.mutators <= 0 && r.spawningDone })
 				sc.Flush(th)
 				r.sampler.stop = true
 			}

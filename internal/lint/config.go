@@ -20,8 +20,9 @@ type Config struct {
 	// concurrency, no order-sensitive map iteration.
 	SimPackages []string
 
-	// SchedulerPackages may use real goroutines, channels, and sync
-	// primitives: the cooperative scheduler's own machinery.
+	// SchedulerPackages may use real goroutines, coroutines (iter.Pull),
+	// channels, and sync primitives: the cooperative scheduler's own
+	// machinery.
 	SchedulerPackages []string
 
 	// WallclockFuncs are the sanctioned wall-time entry points; calls

@@ -30,6 +30,11 @@ var randAllowed = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
+// coroutineFuncs start a coroutine, a second thread of control.  Like a
+// go statement, they are allowed only in the scheduler, whose thread
+// handoff is built on them.
+var coroutineFuncs = map[string]bool{"iter.Pull": true, "iter.Pull2": true}
+
 // sortFuncs order a slice after the fact, sanctioning an append inside
 // a map iteration (collect-then-sort is the deterministic idiom).
 var sortFuncs = map[string]bool{
@@ -48,7 +53,7 @@ func Simdeterminism(cfg *Config) *analysis.Analyzer {
 		Name: "simdeterminism",
 		Doc: "enforce deterministic-replay invariants in simulated packages:\n" +
 			"no wall clocks (time.Now/Since/...), no global math/rand, no real\n" +
-			"goroutines/channels/sync outside the scheduler, and no\n" +
+			"goroutines/coroutines/channels/sync outside the scheduler, and no\n" +
 			"order-sensitive iteration over maps",
 		Run: func(pass *analysis.Pass) (interface{}, error) {
 			if !contains(cfg.SimPackages, pass.Pkg.Path()) {
@@ -85,6 +90,9 @@ func checkDeterminism(pass *analysis.Pass, root ast.Node, enclosing *ast.FuncDec
 				fn.Type().(*types.Signature).Recv() == nil &&
 				!randAllowed[fn.Name()] {
 				pass.Reportf(n.Pos(), "call to global %s in simulated code: process-global randomness breaks deterministic replay (use a seeded rand.New(rand.NewSource(...)))", name)
+			}
+			if coroutineFuncs[name] && !sched {
+				pass.Reportf(n.Pos(), "call to %s in simulated code: a coroutine is a second thread of control that bypasses the cooperative scheduler (use simt.Spawn/SpawnFrom)", name)
 			}
 		case *ast.GoStmt:
 			if !sched {

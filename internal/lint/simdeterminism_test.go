@@ -22,8 +22,8 @@ func TestSimdeterminism(t *testing.T) {
 }
 
 // TestSimdeterminismScheduler checks the scheduler carve-out: the
-// scheduler package may use goroutines/channels/sync, but wall clocks
-// stay banned.
+// scheduler package may use goroutines/coroutines/channels/sync, but
+// wall clocks stay banned.
 func TestSimdeterminismScheduler(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.Simdeterminism(simdetConfig()), "simdetsched")
 }

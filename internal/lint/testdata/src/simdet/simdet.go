@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"iter"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -50,6 +51,18 @@ func realConcurrency() {
 func channels(ch chan int) { // want "channel type in simulated code"
 	ch <- 1 // want "channel send in simulated code"
 	<-ch    // want "channel receive in simulated code"
+}
+
+func coroutines(seq iter.Seq[int], seq2 iter.Seq2[int, int]) {
+	next, stop := iter.Pull(seq) // want "call to iter.Pull in simulated code"
+	defer stop()
+	next()
+	next2, stop2 := iter.Pull2(seq2) // want "call to iter.Pull2 in simulated code"
+	defer stop2()
+	next2()
+	for v := range seq { // ok: a range-over-func loop runs on the caller's stack
+		_ = v
+	}
 }
 
 // --- map iteration -------------------------------------------------

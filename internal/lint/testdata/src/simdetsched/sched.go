@@ -1,10 +1,11 @@
 // Package simdetsched is simdeterminism testdata for the scheduler
 // allowlist: a simulated package that IS the cooperative scheduler, so
-// real goroutines/channels/sync are its implementation — but wall
-// clocks and global randomness stay banned.
+// real goroutines/coroutines/channels/sync are its implementation — but
+// wall clocks and global randomness stay banned.
 package simdetsched
 
 import (
+	"iter"
 	"sync"
 	"time"
 )
@@ -18,6 +19,12 @@ func (s *sched) run() {
 	go s.loop() // ok: scheduler internals may spawn goroutines
 	s.yield <- 1
 	<-s.yield
+}
+
+func (s *sched) coroutine(body iter.Seq[struct{}]) {
+	next, stop := iter.Pull(body) // ok: scheduler internals may switch coroutines
+	defer stop()
+	next()
 }
 
 func (s *sched) loop() {

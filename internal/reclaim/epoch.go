@@ -192,9 +192,9 @@ func (e *Epoch) reclaim(t *simt.Thread) {
 		if i == id || !e.live[i] || snap[i]%2 == 0 {
 			continue // quiescent at snapshot (or ourselves, or gone)
 		}
-		for e.live[i] && e.counters[i] == snap[i] {
+		// The errant thread makes this the bottleneck.
+		if t.SpinWait(func() bool { return !e.live[i] || e.counters[i] != snap[i] }) {
 			waited = true
-			t.Pause() // the errant thread makes this the bottleneck
 		}
 	}
 	if waited {

@@ -1,7 +1,7 @@
 package reclaim
 
 import (
-	"sort"
+	"slices"
 
 	"threadscan/internal/obs"
 	"threadscan/internal/simt"
@@ -158,7 +158,7 @@ func (h *Hazard) scan(t *simt.Thread) {
 			}
 		}
 	}
-	sort.Slice(hazards, func(i, j int) bool { return hazards[i] < hazards[j] })
+	slices.Sort(hazards)
 	t.Charge(int64(len(hazards)) * 4 * c.Step)
 
 	// Steal the orphan list atomically (no safepoint intervenes) so a
@@ -171,9 +171,9 @@ func (h *Hazard) scan(t *simt.Thread) {
 	candidates = append(candidates, stolen...)
 	var kept []uint64
 	for _, addr := range candidates {
-		i := sort.Search(len(hazards), func(i int) bool { return hazards[i] >= addr })
+		_, found := slices.BinarySearch(hazards, addr)
 		t.Charge(int64(log2ceil(len(hazards)+1)) * (c.Load + c.Step))
-		if i < len(hazards) && hazards[i] == addr {
+		if found {
 			kept = append(kept, addr)
 			continue
 		}

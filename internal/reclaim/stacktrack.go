@@ -1,7 +1,7 @@
 package reclaim
 
 import (
-	"sort"
+	"slices"
 
 	"threadscan/internal/obs"
 	"threadscan/internal/simt"
@@ -176,7 +176,7 @@ func (st *StackTrack) reclaim(t *simt.Thread) {
 	candidates := make([]uint64, 0, nOwn+len(stolen))
 	candidates = append(candidates, st.retired[id][:nOwn]...)
 	candidates = append(candidates, stolen...)
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
+	slices.Sort(candidates)
 	t.Charge(int64(len(candidates)) * int64(log2ceil(len(candidates)+1)) * 2 * c.Step)
 	marks := make([]bool, len(candidates))
 
@@ -195,9 +195,8 @@ func (st *StackTrack) reclaim(t *simt.Thread) {
 		if i == id || !st.live[i] {
 			continue
 		}
-		for st.live[i] && st.inOp[i] && st.segCount[i] == snap[i] {
+		if t.SpinWait(func() bool { return !st.live[i] || !st.inOp[i] || st.segCount[i] != snap[i] }) {
 			waited = true
-			t.Pause()
 		}
 		for _, w := range st.shadows[i] {
 			st.mark(t, w, candidates, marks)
@@ -230,8 +229,7 @@ func (st *StackTrack) mark(t *simt.Thread, w uint64, candidates []uint64, marks 
 	c := &st.costs
 	p := w &^ 7
 	t.Charge(int64(log2ceil(len(candidates)+1)) * (c.Load + c.Step))
-	i := sort.Search(len(candidates), func(i int) bool { return candidates[i] >= p })
-	if i < len(candidates) && candidates[i] == p {
+	if i, found := slices.BinarySearch(candidates, p); found {
 		marks[i] = true
 	}
 }

@@ -8,7 +8,8 @@ import (
 
 // Host cost of the per-access primitives on the checked heap, the
 // configuration every scenario runs.  The quantum never expires, so the
-// timed loop never leaves the thread's goroutine.
+// timed access loops never leave the thread's coroutine; only
+// BenchmarkThreadYield gives the core back, on purpose.
 
 var (
 	benchSinkU64  uint64
@@ -64,6 +65,17 @@ func BenchmarkThreadSetReg(b *testing.B) {
 	benchInThread(b, func(th *Thread) {
 		for i := 0; i < b.N; i++ {
 			th.SetReg(i&(NumRegs-1), uint64(i))
+		}
+	})
+}
+
+// BenchmarkThreadYield times one dispatch round trip: the only thread
+// hands its core back and the scheduler dispatches it again, one
+// coroutine switch each way.
+func BenchmarkThreadYield(b *testing.B) {
+	benchInThread(b, func(th *Thread) {
+		for i := 0; i < b.N; i++ {
+			th.Yield()
 		}
 	})
 }

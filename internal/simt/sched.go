@@ -3,8 +3,8 @@ package simt
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -35,8 +35,6 @@ type Sim struct {
 	topo     topology
 	lineHome []int8 // per-arena-line home node (-1 unassigned); nil when Nodes == 1
 	lineBase int    // arena base address >> lineShift
-
-	yieldCh chan *Thread
 
 	handlers   [MaxSignals]func(*Thread, SigNum)
 	startHooks []func(*Thread)
@@ -83,7 +81,6 @@ func New(cfg Config) *Sim {
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		coreFree: make([]int64, cfg.Cores),
 		coreLast: make([]int, cfg.Cores),
-		yieldCh:  make(chan *Thread),
 	}
 	for i := range s.coreLast {
 		s.coreLast[i] = -1
@@ -124,10 +121,10 @@ func (s *Sim) Stats() SimStats { return s.stats }
 
 // OnClockAdvance installs a host-side hook invoked from the dispatch
 // loop whenever the virtual high-water clock advances, with the new
-// clock value.  The hook runs between thread quanta on the scheduler
-// goroutine — never concurrently with a simulated thread — and must
-// only *read* simulation state: it cannot charge cycles, so installing
-// one (the metrics engine's ticker) cannot perturb the schedule.
+// clock value.  The hook runs between thread quanta in the scheduler —
+// never concurrently with a simulated thread — and must only *read*
+// simulation state: it cannot charge cycles, so installing one (the
+// metrics engine's ticker) cannot perturb the schedule.
 // Unset, the cost is one nil comparison per dispatch.
 func (s *Sim) OnClockAdvance(fn func(now int64)) { s.advance = fn }
 
@@ -194,7 +191,7 @@ func (s *Sim) SpawnFrom(parent *Thread, name string, body func(*Thread)) *Thread
 	t.readyAt = parent.now
 	s.threads = append(s.threads, t)
 	s.live++
-	go t.main()
+	t.start()
 	return t
 }
 
@@ -207,12 +204,20 @@ func (s *Sim) newThread(name string, body func(*Thread)) *Thread {
 		id:       len(s.threads),
 		name:     name,
 		body:     body,
-		resume:   make(chan quantum),
 		stack:    make([]uint64, s.cfg.StackWords),
 		runnable: true,
 		pinned:   -1,
 		rng:      rand.New(rand.NewSource(s.cfg.Seed ^ int64(uint64(len(s.threads)+1)*0x9E3779B97F4A7C15>>1))),
 	}
+}
+
+// start creates the thread's coroutine, parked before its first
+// instruction.  The scheduler and the threads hand the one host core
+// among themselves by direct coroutine switch (iter.Pull): a dispatch
+// is next, a yield is the body's yield, and neither passes through the
+// Go scheduler.
+func (t *Thread) start() {
+	t.next, t.stop = iter.Pull(t.main)
 }
 
 // quantum is one scheduling grant: run from start until a safepoint at
@@ -283,7 +288,7 @@ func (s *Sim) Run() error {
 	s.started = true
 	s.live = len(s.threads)
 	for _, t := range s.threads {
-		go t.main()
+		t.start()
 	}
 	defer s.release()
 
@@ -311,8 +316,8 @@ func (s *Sim) Run() error {
 		t.core = core
 		s.stats.Dispatches++
 
-		t.resume <- quantum{start, start + s.quantumLen()}
-		<-s.yieldCh
+		t.q = quantum{start, start + s.quantumLen()}
+		t.next()
 
 		s.coreFree[core] = t.now
 		if t.now > s.clock {
@@ -413,16 +418,14 @@ func (s *Sim) deadlock() *DeadlockError {
 	return e
 }
 
-// release unparks every parked thread goroutine so they exit instead of
-// leaking when Run returns early (deadlock or panic).
+// release stops every thread coroutine so none leaks when Run returns
+// early (deadlock, timeout or panic).  A parked body unwinds through its
+// deferred calls before stop returns; a never-dispatched one never
+// starts; stopping a finished one is a no-op.
 func (s *Sim) release() {
 	for _, t := range s.threads {
-		if !t.exited && !t.released {
-			t.released = true
-			close(t.resume)
+		if t.stop != nil {
+			t.stop()
 		}
 	}
-	// Give released goroutines a chance to unwind promptly; correctness
-	// does not depend on it (nothing sends on yieldCh after release).
-	runtime.Gosched()
 }

@@ -1,6 +1,6 @@
 // Package simt is the simulated threading substrate for the ThreadScan
 // reproduction: a deterministic discrete-event scheduler that runs
-// simulated threads (one goroutine each, exactly one active at a time)
+// simulated threads (one coroutine each, exactly one active at a time)
 // on a configurable number of virtual cores, with quanta, preemption,
 // POSIX-style signals, and a cycle-accurate virtual clock.
 //
@@ -22,8 +22,9 @@
 //     running more threads than cores reproduces the oversubscription
 //     regime of the paper's Figure 4, including delayed signal response.
 //
-// Determinism: the scheduler serializes all simulated threads (exactly
-// one goroutine is ever unparked), so a run with a fixed Config.Seed is
+// Determinism: the scheduler serializes all simulated threads (control
+// passes by direct coroutine switch, so exactly one runs at any host
+// instant), so a run with a fixed Config.Seed is
 // reproducible, simulated primitives are atomic between safepoints, and
 // the whole simulation needs no host synchronization.  Time is virtual:
 // every primitive charges cycles from CostModel, and throughput is

@@ -210,13 +210,13 @@ func (h *Handshake) AckFrom(t *Thread) {
 // caller charges the visible-store cost of its ACK itself.
 func (h *Handshake) Ack(*Thread) { h.got++ }
 
-// Await spins (interruptibly — Pause passes safepoints, so the owner
+// Await spins (interruptibly — SpinWait passes safepoints, so the owner
 // still answers signals) until every expected party has acked.
 func (h *Handshake) Await(t *Thread) {
-	for h.got < h.need {
-		t.Pause()
-	}
+	t.SpinWait(h.acked)
 }
+
+func (h *Handshake) acked() bool { return h.got >= h.need }
 
 // Need returns the number of parties the current phase expects.
 func (h *Handshake) Need() int { return h.need }

@@ -3,7 +3,6 @@ package simt
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"runtime/debug"
 
 	"threadscan/internal/simmem"
@@ -43,12 +42,14 @@ type Thread struct {
 	pinned     int // NUMA node affinity; -1 = any core
 
 	// Scheduling state (owned by the scheduler and the single active
-	// party; no synchronization needed).
-	resume      chan quantum
+	// party; the coroutine switch orders every access).
+	next        func() (struct{}, bool) // resume the body until it yields
+	stop        func()                  // unwind a parked body
+	yield       func(struct{}) bool     // hand the core back; false once stopped
+	q           quantum                 // the grant the next resume runs under
 	reason      yieldReason
 	runnable    bool
 	exited      bool
-	released    bool
 	waitQ       *WaitQueue
 	sleeping    bool
 	interrupted bool
@@ -106,22 +107,28 @@ func (t *Thread) AddOps(n uint64) { t.ops += n }
 // Ops returns the free-form operation counter.
 func (t *Thread) Ops() uint64 { return t.ops }
 
-// main is the goroutine body: wait for the first dispatch, run hooks
-// and the thread body, and report exit (or panic) to the scheduler.
-func (t *Thread) main() {
-	q, ok := <-t.resume
-	if !ok {
-		return
-	}
-	t.begin(q)
+// released is the panic value that unwinds a parked body once the
+// scheduler has stopped its coroutine.  It is private so no body can
+// mistake it for its own, and main swallows it.  runtime.Goexit would not
+// do: iter.Pull re-raises a coroutine's Goexit in the scheduler.
+type released struct{}
+
+// main is the coroutine body, entered at the first dispatch: run hooks
+// and the thread body, and leave the exit (or panic) reason for the
+// scheduler, which regains the core when main returns.
+func (t *Thread) main(yield func(struct{}) bool) {
+	t.yield = yield
 	defer func() {
 		if r := recover(); r != nil {
+			if _, ok := r.(released); ok {
+				return
+			}
 			t.panicVal = r
 			t.panicStack = string(debug.Stack())
 			t.reason = yPanic
-			t.sim.yieldCh <- t
 		}
 	}()
+	t.begin(t.q)
 	// The thread cache binds to the thread's node at first dispatch
 	// (the pinned node when pinned): under per-node pools its refills
 	// draw from — and its frees return to — that node's share of the
@@ -143,7 +150,6 @@ func (t *Thread) main() {
 	}
 	t.cache.Flush()
 	t.reason = yExit
-	t.sim.yieldCh <- t
 }
 
 func (t *Thread) begin(q quantum) {
@@ -153,16 +159,15 @@ func (t *Thread) begin(q quantum) {
 	t.quantumEnd = q.end
 }
 
-// yieldCore hands the core back to the scheduler and blocks until the
-// next dispatch.  If the simulation was aborted, the goroutine exits.
+// yieldCore hands the core back to the scheduler and resumes at the
+// next dispatch.  If the simulation was aborted instead, the body
+// unwinds (running its deferred calls) back to main.
 func (t *Thread) yieldCore(reason yieldReason) {
 	t.reason = reason
-	t.sim.yieldCh <- t
-	q, ok := <-t.resume
-	if !ok {
-		runtime.Goexit()
+	if !t.yield(struct{}{}) {
+		panic(released{})
 	}
-	t.begin(q)
+	t.begin(t.q)
 }
 
 // charge advances the thread's virtual clock by cost cycles, routing
@@ -581,6 +586,44 @@ func (t *Thread) Pause() {
 	t.charge(t.sim.cfg.Costs.Pause)
 	t.waitCycles += t.sim.cfg.Costs.Pause
 	t.safepoint()
+}
+
+// SpinWait spins until done reports true, exactly as the loop
+//
+//	for !done() { t.Pause() }
+//
+// would, and reports whether it paused at all.  done must be a pure read
+// of simulation state that only other threads, or this thread's signal
+// handlers, change: it may not charge cycles or call a simt primitive.
+//
+// Nothing else runs during a thread's quantum, so while no signal is
+// deliverable every further PAUSE before the quantum ends is futile:
+// done cannot change until a safepoint yields the core or runs a
+// handler.  SpinWait charges those iterations in one step — n =
+// ⌈(quantumEnd−now)/Pause⌉ PAUSEs into the clock, wait and handler
+// accounting — and then passes the safepoint, so the quantum ends at
+// the cycle the per-PAUSE loop would end it and every virtual result is
+// unchanged.  Only the host cost shrinks, from one call per PAUSE to
+// one per quantum.
+//
+// Loops whose condition issues a simulated access each iteration — the
+// skip list's lock CAS and its fullyLinked load — keep a per-iteration
+// Pause: each access pays its own cache-model, topology and safepoint
+// cost, so their iterations are not identical futile steps to fold.
+func (t *Thread) SpinWait(done func() bool) (spun bool) {
+	pause := t.sim.cfg.Costs.Pause
+	for !done() {
+		spun = true
+		if pause > 0 && (t.sigPending == 0 || t.sigDepth > 0) && t.now+pause < t.quantumEnd {
+			cost := (t.quantumEnd - t.now + pause - 1) / pause * pause
+			t.charge(cost)
+			t.waitCycles += cost
+			t.safepoint()
+			continue
+		}
+		t.Pause()
+	}
+	return spun
 }
 
 // Yield surrenders the rest of the quantum voluntarily.

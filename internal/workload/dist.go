@@ -135,8 +135,17 @@ func (g *KeyGen) Key(frac float64) uint64 {
 		if frac < 0 {
 			frac = 0
 		}
-		start := uint64(frac*g.d.Sweeps*float64(g.n)) % g.n
-		idx = (start + uint64(g.rng.Int63n(int64(g.winN)))) % g.n
+		// The residues of % n without a divide per key: start needs
+		// reducing only past the first sweep, and then start + r < 2n
+		// (start < n, r < winN <= n) needs at most one subtraction.
+		start := uint64(frac * g.d.Sweeps * float64(g.n))
+		if start >= g.n {
+			start %= g.n
+		}
+		idx = start + uint64(g.rng.Int63n(int64(g.winN)))
+		if idx >= g.n {
+			idx -= g.n
+		}
 	default:
 		idx = uint64(g.rng.Int63n(int64(g.n)))
 	}

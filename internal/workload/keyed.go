@@ -1,8 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Commutativity-aware op histories: the differential checker's lever
@@ -106,11 +107,8 @@ func MergeKeyed(traces []*KeyedTrace) *KeyedSummary {
 		// execution order, so the concatenation is already sorted; the
 		// sort is kept as the normative definition (and guards future
 		// merge-order changes).
-		sort.Slice(ops, func(i, j int) bool {
-			if ops[i].worker != ops[j].worker {
-				return ops[i].worker < ops[j].worker
-			}
-			return ops[i].idx < ops[j].idx
+		slices.SortFunc(ops, func(a, b keyedOp) int {
+			return cmp.Or(cmp.Compare(a.worker, b.worker), cmp.Compare(a.idx, b.idx))
 		})
 		h := uint64(fnvOffset)
 		h = fnvWord(h, key)
@@ -157,7 +155,7 @@ func (s *KeyedSummary) CheckSetSemantics(present func(key uint64) bool) string {
 	for key := range s.perKey {
 		keys = append(keys, key)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	for _, key := range keys {
 		t := s.perKey[key]
 		p0 := 0
@@ -238,7 +236,7 @@ func (l *ValueLedger) CheckConservation(initial func(v uint64) int) string {
 	for v := range l.pops {
 		vals = append(vals, v)
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	slices.Sort(vals)
 	var bads []string
 	for _, v := range vals {
 		if cap := initial(v) + l.pushes[v]; l.pops[v] > cap {

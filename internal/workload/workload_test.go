@@ -116,6 +116,39 @@ func TestWindowSlides(t *testing.T) {
 	}
 }
 
+// TestWindowKeyMatchesModFormula pins the sliding window's
+// compare-and-reduce arithmetic to the plain % n formula it replaces,
+// draw for draw, over seeds, positions in the phase and window sizes
+// (the builtins' 1/8 of 1024 keys among them, plus one-key and
+// full-range windows and sweeps that wrap more than once).
+func TestWindowKeyMatchesModFormula(t *testing.T) {
+	fracs := []float64{-0.5, 0, 1e-9, 0.1, 0.2499, 0.25, 0.4999, 0.5, 0.5001, 0.75, 0.9375, 0.999999, 1, 1.7}
+	for _, n := range []uint64{1, 3, 1000, 1024, 4096, 1 << 16} {
+		for _, wf := range []float64{0.125, 1e-9, 0.5, 1} {
+			for _, sweeps := range []float64{1, 2, 3.5} {
+				for seed := int64(1); seed <= 4; seed++ {
+					d := Dist{Kind: DistWindow, WindowFrac: wf, Sweeps: sweeps}
+					g := NewKeyGen(d, n, rand.New(rand.NewSource(seed)))
+					ref := rand.New(rand.NewSource(seed))
+					for i := 0; i < 40; i++ {
+						frac := fracs[i%len(fracs)]
+						got := g.Key(frac)
+						if frac < 0 {
+							frac = 0
+						}
+						start := uint64(frac*g.d.Sweeps*float64(n)) % n
+						want := ds.MinKey + (start+uint64(ref.Int63n(int64(g.winN))))%n
+						if got != want {
+							t.Fatalf("n=%d frac=%v window=%v sweeps=%v seed=%d draw %d: key %d, %% formula %d",
+								n, frac, wf, sweeps, seed, i, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestScrambleBijectiveOnPow2(t *testing.T) {
 	const n = 512
 	seen := map[uint64]bool{}
