@@ -160,6 +160,54 @@ func TestUncheckedHeapStillRejectsBadAddresses(t *testing.T) {
 	}
 }
 
+// TestTryLoadAgreesWithLoad: TryLoad reports ok=false exactly where
+// Load panics, and otherwise returns Load's value, on a checked and an
+// unchecked heap.
+func TestTryLoadAgreesWithLoad(t *testing.T) {
+	for _, check := range []bool{true, false} {
+		h := New(Config{Words: 1 << 14, Check: check, Poison: true})
+		live := h.Alloc(32)
+		h.Store(live+8, 42)
+		freed := h.Alloc(32)
+		h.Free(freed)
+		addrs := map[string]uint64{
+			"nil":        0,
+			"unaligned":  live + 3,
+			"limit":      h.Limit(),
+			"limit+8":    h.Limit() + 8,
+			"below base": h.Base() - 8,
+			"freed":      freed + 8,
+			"live":       live + 8,
+			"last word":  h.Limit() - 8,
+		}
+		faults := 0
+		for name, addr := range addrs {
+			var want uint64
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				want = h.Load(addr)
+				return false
+			}()
+			got, ok := h.TryLoad(addr)
+			if ok == panicked || (ok && got != want) {
+				t.Errorf("check=%v %s %#x: TryLoad = %d, %v; Load panicked %v, returned %d", check, name, addr, got, ok, panicked, want)
+			}
+			if panicked {
+				faults++
+			}
+		}
+		// nil, unaligned, limit, limit+8 and below base always fault;
+		// the freed word and the never-allocated last word only when
+		// checked.
+		if wantFaults := map[bool]int{true: 7, false: 5}[check]; faults != wantFaults {
+			t.Errorf("check=%v: %d of %d addresses faulted, want %d", check, faults, len(addrs), wantFaults)
+		}
+		if v, ok := h.TryLoad(live + 8); !ok || v != 42 {
+			t.Errorf("check=%v: TryLoad(live) = %d, %v, want 42, true", check, v, ok)
+		}
+	}
+}
+
 func TestFreePoisons(t *testing.T) {
 	h := New(Config{Words: 1 << 14, Check: false, Poison: true})
 	addr := h.Alloc(32)

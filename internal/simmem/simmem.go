@@ -334,6 +334,20 @@ func (h *Heap) access(addr uint64, op string) uint64 {
 	return off / WordSize
 }
 
+// TryLoad is Load without the fault: it runs the same test as access
+// and returns the word with ok, or ok=false exactly where Load would
+// panic.  Callers that can re-run a failed access through Load use it
+// to keep the fault, and its Violation, on one path.  The test is
+// written out here rather than shared through a helper returning
+// (index, ok): that shape compiles to slower code for both.
+func (h *Heap) TryLoad(addr uint64) (v uint64, ok bool) {
+	off := addr - h.cfg.Base
+	if off >= h.span || off%WordSize != 0 || !h.liveWord(off/WordSize) {
+		return 0, false
+	}
+	return h.words[off/WordSize], true
+}
+
 // fault classifies a failed access and panics with its Violation,
 // re-running the checks in wordIndex's order: nil, unaligned, wild,
 // then use after free.

@@ -79,3 +79,26 @@ func BenchmarkThreadYield(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkChaseSorted walks a 1,024-node sorted chain end to end with
+// one ChaseSorted call per iteration on the flat machine, and reports
+// the host cost per node visited.
+func BenchmarkChaseSorted(b *testing.B) {
+	const nodes = 1024
+	benchInThread(b, func(th *Thread) {
+		keys := make([]uint64, nodes)
+		for i := range keys {
+			keys[i] = uint64(i + 1)
+		}
+		head, _ := buildChain(th.Sim().Heap(), keys, nil)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			th.SetReg(cPrev, head)
+			th.Load(cCurr, cPrev, 0)
+			if th.ChaseSorted(cPrev, cCurr, cNext, cKey, chainNextOff, chainKeyOff, nodes+1, false) != ChaseEnd {
+				b.Fatal("walk stopped before the end of the chain")
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/node")
+	})
+}

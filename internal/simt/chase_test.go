@@ -2,6 +2,7 @@ package simt
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"threadscan/internal/simmem"
@@ -14,29 +15,42 @@ const (
 	chainKeyOff, chainNextOff = 0, 1
 )
 
-// chaseByCalls is the per-call sequence ChaseSorted fuses, written with
-// the public primitives: the reference the primitive must reproduce.
-func chaseByCalls(th *Thread, key uint64, stopOnMark bool) int {
-	for {
-		if th.Reg(cCurr) == 0 {
-			return ChaseEnd
+// chaser runs one walk over a chain: the fused primitive or the
+// per-call reference it must reproduce.
+type chaser func(th *Thread, key uint64, stopOnMark bool) int
+
+// chaseByCallsAt is the per-call sequence ChaseSorted fuses, written
+// with the public primitives for nodes with the given word layout.
+func chaseByCallsAt(nextOff, keyOff int) chaser {
+	return func(th *Thread, key uint64, stopOnMark bool) int {
+		for {
+			if th.Reg(cCurr) == 0 {
+				return ChaseEnd
+			}
+			th.Load(cNext, cCurr, nextOff)
+			if stopOnMark && th.Reg(cNext)&1 != 0 {
+				return ChaseMarked
+			}
+			th.Load(cKey, cCurr, keyOff)
+			if th.Reg(cKey) >= key {
+				return ChaseFound
+			}
+			th.SetReg(cPrev, th.Reg(cCurr)+uint64(nextOff)*simmem.WordSize)
+			th.SetReg(cCurr, th.Reg(cNext)&^1)
 		}
-		th.Load(cNext, cCurr, chainNextOff)
-		if stopOnMark && th.Reg(cNext)&1 != 0 {
-			return ChaseMarked
-		}
-		th.Load(cKey, cCurr, chainKeyOff)
-		if th.Reg(cKey) >= key {
-			return ChaseFound
-		}
-		th.SetReg(cPrev, th.Reg(cCurr)+chainNextOff*simmem.WordSize)
-		th.SetReg(cCurr, th.Reg(cNext)&^1)
 	}
 }
 
-func chaseFused(th *Thread, key uint64, stopOnMark bool) int {
-	return th.ChaseSorted(cPrev, cCurr, cNext, cKey, chainNextOff, chainKeyOff, key, stopOnMark)
+func chaseFusedAt(nextOff, keyOff int) chaser {
+	return func(th *Thread, key uint64, stopOnMark bool) int {
+		return th.ChaseSorted(cPrev, cCurr, cNext, cKey, nextOff, keyOff, key, stopOnMark)
+	}
 }
+
+var (
+	chaseByCalls = chaseByCallsAt(chainNextOff, chainKeyOff)
+	chaseFused   = chaseFusedAt(chainNextOff, chainKeyOff)
+)
 
 // buildChain links nodes with the given keys, in order, behind a fresh
 // head word and marks the nodes whose keys are in marked.  It returns
@@ -62,6 +76,16 @@ func buildChain(h *simmem.Heap, keys []uint64, marked map[uint64]bool) (head uin
 	return head, nodes
 }
 
+// markedChain builds the chain the twin runs walk: keys 10, 20, ..., 200
+// with 50, 120 and 130 marked.
+func markedChain(h *simmem.Heap) (head uint64, nodes []uint64) {
+	var keys []uint64
+	for k := uint64(10); k <= 200; k += 10 {
+		keys = append(keys, k)
+	}
+	return buildChain(h, keys, map[uint64]bool{50: true, 120: true, 130: true})
+}
+
 // chaseSnap is the machine state compared between the twins: taken at
 // every handler entry (reason -1) and after every chase returns.
 type chaseSnap struct {
@@ -78,14 +102,10 @@ func snapOf(th *Thread, reason int) chaseSnap {
 // chaseRun walks a sorted chain with marked nodes for many target keys
 // in both stop modes, under a tiny quantum and a peer that keeps
 // signaling the walker, and returns the walker's snapshots.
-func chaseRun(t *testing.T, cfg Config, chase func(*Thread, uint64, bool) int) []chaseSnap {
+func chaseRun(t *testing.T, cfg Config, chase chaser) []chaseSnap {
 	t.Helper()
 	s := New(cfg)
-	var keys []uint64
-	for k := uint64(10); k <= 200; k += 10 {
-		keys = append(keys, k)
-	}
-	head, nodes := buildChain(s.Heap(), keys, map[uint64]bool{50: true, 120: true, 130: true})
+	head, nodes := markedChain(s.Heap())
 	last := nodes[len(nodes)-1]
 
 	var snaps []chaseSnap
@@ -176,7 +196,7 @@ func TestChaseMatchesLoadSequence(t *testing.T) {
 // TestChaseOntoFreedNodeViolates: a walk that reaches a freed node must
 // fail exactly as the per-call sequence does, with the same violation.
 func TestChaseOntoFreedNodeViolates(t *testing.T) {
-	run := func(chase func(*Thread, uint64, bool) int, stop bool) (*simmem.Violation, uint64) {
+	run := func(chase chaser, stop bool) (*simmem.Violation, uint64) {
 		s := New(testConfig())
 		head, nodes := buildChain(s.Heap(), []uint64{10, 20, 30}, nil)
 		s.Heap().Free(nodes[1])
@@ -200,5 +220,187 @@ func TestChaseOntoFreedNodeViolates(t *testing.T) {
 		if want.Kind != simmem.VUseAfterFree || want.Addr != freed+chainNextOff*simmem.WordSize || want.Op != "load" {
 			t.Errorf("stopOnMark=%v: reference violation %v is not a use after free of the freed node's link", stop, want)
 		}
+	}
+}
+
+// TestChaseSortedRejectsAliasedRegisters: with a register named twice
+// the walk's result would depend on the order of its register writes,
+// so ChaseSorted refuses it before touching any state.
+func TestChaseSortedRejectsAliasedRegisters(t *testing.T) {
+	regs := [4]int{cPrev, cCurr, cNext, cKey}
+	for i := range regs {
+		for j := i + 1; j < len(regs); j++ {
+			r := regs
+			r[j] = r[i]
+			s := New(testConfig())
+			var got any
+			var spent int64
+			s.Spawn("walker", func(th *Thread) {
+				start := th.Now()
+				defer func() { got, spent = recover(), th.Now()-start }()
+				th.ChaseSorted(r[0], r[1], r[2], r[3], chainNextOff, chainKeyOff, 10, false)
+			})
+			mustRun(t, s)
+			want := fmt.Sprintf("simt: ChaseSorted registers must be distinct (prev %d, curr %d, next %d, key %d)", r[0], r[1], r[2], r[3])
+			if got != want || spent != 0 {
+				t.Errorf("registers %v: panic %v after %d cycles, want %q after none", r, got, spent, want)
+			}
+		}
+	}
+}
+
+// runAheadRun drives a walker over markedChain with chase on a one-core
+// flat machine, the configuration where ChaseSorted runs ahead in
+// locals.  A peer on the same core snapshots the walker (reason -2)
+// whenever it holds the core, that is after every quantum the walker
+// gives up, so a step run ahead past a quantum end, or registers and
+// clocks left stale in locals, show in the peer's view.  body takes its
+// own snapshots through snap.
+func runAheadRun(t *testing.T, chase chaser, body func(th *Thread, head uint64, chase chaser, snap func(int))) []chaseSnap {
+	t.Helper()
+	s := New(Config{
+		Cores:   1,
+		Quantum: 2000,
+		Seed:    1,
+		Heap:    simmem.Config{Words: 1 << 14, Check: true, Poison: true},
+	})
+	head, _ := markedChain(s.Heap())
+	var snaps []chaseSnap
+	walker := s.Spawn("walker", func(th *Thread) {
+		body(th, head, chase, func(reason int) { snaps = append(snaps, snapOf(th, reason)) })
+	})
+	s.Spawn("peer", func(th *Thread) {
+		for !walker.Exited() {
+			snaps = append(snaps, snapOf(walker, -2))
+			th.Work(2000)
+		}
+	})
+	mustRun(t, s)
+	return snaps
+}
+
+// TestChaseRunAheadMatchesLoadSequence pins the run-ahead to the
+// per-call sequence at its edges: a quantum ending at every offset of a
+// step (among them exactly at the step's end, now+2·Load == quantumEnd,
+// and between its two loads), a walk inside a handler with a second
+// signal pending, and mark stops.
+func TestChaseRunAheadMatchesLoadSequence(t *testing.T) {
+	costs := DefaultCosts()
+	step := 2*costs.Load + 2*costs.RegOp
+	cases := map[string]func(th *Thread, head uint64, chase chaser, snap func(int)){
+		// Place the clock so that step i of a walk over the whole chain
+		// starts slack cycles before the quantum ends.
+		"quantum end": func(th *Thread, head uint64, chase chaser, snap func(int)) {
+			for _, i := range []int64{0, 3} {
+				for slack := int64(0); slack <= step+1; slack++ {
+					th.Yield()
+					th.SetReg(cPrev, head)
+					th.Load(cCurr, cPrev, 0)
+					th.Charge(th.quantumEnd - slack - i*step - th.now)
+					snap(chase(th, 1000, false))
+				}
+			}
+		},
+		// Signal 1 arrives inside signal 0's handler, so it is pending
+		// but masked for the whole walk; every cycle of the walk is
+		// handler time.
+		"handler, signal pending": func(th *Thread, head uint64, chase chaser, snap func(int)) {
+			sim := th.Sim()
+			sim.SetSignalHandler(1, func(th *Thread) { snap(-1) })
+			sim.SetSignalHandler(0, func(th *Thread) {
+				th.Signal(th, 1)
+				th.SetReg(cPrev, head)
+				th.Load(cCurr, cPrev, 0)
+				snap(chase(th, 1000, false))
+				if th.sigPending == 0 || th.handlerCycles < 100 {
+					t.Errorf("walk ran with pending %b and %d handler cycles", th.sigPending, th.handlerCycles)
+				}
+			})
+			th.Signal(th, 0)
+			th.Step()
+		},
+		// Stop at each marked node, as search does before its snip.
+		"marked": func(th *Thread, head uint64, chase chaser, snap func(int)) {
+			th.SetReg(cPrev, head)
+			th.Load(cCurr, cPrev, 0)
+			for {
+				r := chase(th, 1000, true)
+				snap(r)
+				if r != ChaseMarked {
+					return
+				}
+				th.SetReg(cCurr, th.Reg(cNext)&^1)
+			}
+		},
+	}
+	for name, body := range cases {
+		t.Run(name, func(t *testing.T) {
+			want := runAheadRun(t, chaseByCalls, body)
+			got := runAheadRun(t, chaseFused, body)
+			if len(got) != len(want) {
+				t.Fatalf("%d snapshots, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("snapshot %d of %d diverged:\n got %+v\nwant %+v", i, len(want), got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestChaseRunAheadKeyFault: a node whose link word is live but whose
+// key word is freed fails in the middle of a step.  The run-ahead must
+// leave that step to the exact loop, which raises the per-call
+// sequence's Violation at its clock and register state.
+func TestChaseRunAheadKeyFault(t *testing.T) {
+	// Nodes are 16-byte blocks holding the link at word 0; a node's key
+	// is word 0 of the adjacent block.
+	const nextOff, keyOff = 0, 2
+	run := func(chase chaser) (*simmem.Violation, chaseSnap, uint64) {
+		s := New(Config{
+			Cores:   1,
+			Quantum: 1 << 40,
+			Seed:    1,
+			Heap:    simmem.Config{Words: 1 << 14, Check: true, Poison: true},
+		})
+		h := s.Heap()
+		head := h.Alloc(8)
+		var b []uint64
+		for i := 0; i < 8; i++ {
+			b = append(b, h.Alloc(16))
+			if i > 0 && b[i] != b[i-1]+16 {
+				t.Fatalf("blocks %#x, %#x are not adjacent", b[i-1], b[i])
+			}
+		}
+		h.Store(head, b[0])
+		for i := 0; i < 4; i++ {
+			if i < 3 {
+				h.Store(b[2*i], b[2*i+2])
+			}
+			h.Store(b[2*i+1], uint64(10*(i+1)))
+		}
+		h.Free(b[5]) // node b[4]'s key word
+		walker := s.Spawn("walker", func(th *Thread) {
+			th.SetReg(cPrev, head)
+			th.Load(cCurr, cPrev, 0)
+			chase(th, 1000, false)
+		})
+		var v *simmem.Violation
+		if err := s.Run(); !errors.As(err, &v) {
+			t.Fatalf("want a heap violation, got %v", err)
+		}
+		return v, snapOf(walker, 0), b[4]
+	}
+	want, wantSnap, node := run(chaseByCallsAt(nextOff, keyOff))
+	got, gotSnap, _ := run(chaseFusedAt(nextOff, keyOff))
+	if want.Kind != simmem.VUseAfterFree || want.Addr != node+keyOff*simmem.WordSize || want.Op != "load" {
+		t.Fatalf("reference violation %v is not a use after free of node %#x's key word", want, node)
+	}
+	if got.Kind != want.Kind || got.Addr != want.Addr || got.Op != want.Op {
+		t.Errorf("violation %v, want %v", got, want)
+	}
+	if gotSnap != wantSnap {
+		t.Errorf("state at the fault:\n got %+v\nwant %+v", gotSnap, wantSnap)
 	}
 }

@@ -407,42 +407,111 @@ const (
 //	SetReg(rPrev, regs[rCurr]+nextOff*8)
 //	SetReg(rCurr, regs[rNext]&^1)
 //
-// until one of the returns fires.  It is that sequence fused into one
-// call, not an approximation of it: every access pays its own memCost,
-// charge and safepoint, and every register write its own RegOp, in the
-// same order, so cache-model, topology, signal and quantum behavior are
-// those of the per-call sequence.  Registers are re-read after each
-// safepoint, because a handler may run there.
+// until one of the returns fires.  The four registers must be distinct.
+//
+// It is that sequence fused into one call, not an approximation of it:
+// registers, clocks, counters, signal delivery points, quantum ends and
+// heap violations are exactly those of the per-call sequence.  The
+// exact loop below runs each step as that sequence does: every access
+// pays its own memCost, charge and safepoint, every register write its
+// own RegOp, and registers are re-read after each safepoint, because a
+// handler may run there.
+//
+// On a flat machine with the cache model off a load costs exactly
+// Costs.Load, and while no signal is deliverable a safepoint returns
+// inline until the clock reaches the quantum end; nothing else runs in
+// between.  So a step whose two loads both land before the quantum end
+// (now+2·Load < quantumEnd) and whose two addresses pass the heap's
+// checks runs ahead in locals, and the clocks and registers are written
+// back once, when the run-ahead stops.  The exact loop takes the step
+// that could reach the quantum end, a step with a failing address
+// (which it then faults on exactly as Load does) and every step on a
+// modeled machine, where an access's cost depends on the address.
 func (t *Thread) ChaseSorted(rPrev, rCurr, rNext, rKey int, nextOff, keyOff int, key uint64, stopOnMark bool) int {
 	t.checkReg(rPrev)
 	t.checkReg(rCurr)
 	t.checkReg(rNext)
 	t.checkReg(rKey)
+	if rPrev == rCurr || rPrev == rNext || rPrev == rKey || rCurr == rNext || rCurr == rKey || rNext == rKey {
+		aliasedChase(rPrev, rCurr, rNext, rKey)
+	}
 	nextBytes := uint64(nextOff) * simmem.WordSize
 	keyBytes := uint64(keyOff) * simmem.WordSize
 	costs := &t.sim.cfg.Costs
 	heap := t.sim.heap
-	for t.regs[rCurr] != 0 {
+	load, regOp := costs.Load, costs.RegOp
+	// The budget test below assumes a load never moves the clock back.
+	flat := t.sim.caches == nil && t.sim.topo.nodes <= 1 && load >= 0
+	for {
+		if flat && (t.sigPending == 0 || t.sigDepth > 0) {
+			prev, curr, next, k := t.regs[rPrev], t.regs[rCurr], t.regs[rNext], t.regs[rKey]
+			start, now, end := t.now, t.now, t.quantumEnd
+			reason := -1
+			for curr != 0 && now+2*load < end {
+				n, ok := heap.TryLoad(curr + nextBytes)
+				if !ok {
+					break
+				}
+				if stopOnMark && n&1 != 0 {
+					now += load
+					next, reason = n, ChaseMarked
+					break
+				}
+				kv, ok := heap.TryLoad(curr + keyBytes)
+				if !ok {
+					break
+				}
+				now += 2 * load
+				next, k = n, kv
+				if kv >= key {
+					reason = ChaseFound
+					break
+				}
+				now += 2 * regOp
+				prev, curr = curr+nextBytes, n&^1
+			}
+			t.regs[rPrev], t.regs[rCurr], t.regs[rNext], t.regs[rKey] = prev, curr, next, k
+			t.now = now
+			t.cycles += now - start
+			if t.sigDepth > 0 {
+				t.handlerCycles += now - start
+			}
+			if reason >= 0 {
+				return reason
+			}
+		}
+		// One exact step: the run-ahead could not take it, or the
+		// machine is modeled.
+		if t.regs[rCurr] == 0 {
+			return ChaseEnd
+		}
 		addr := t.regs[rCurr] + nextBytes
-		t.charge(t.memCost(costs.Load, addr))
+		t.charge(t.memCost(load, addr))
 		t.safepoint()
 		t.regs[rNext] = heap.Load(addr)
 		if stopOnMark && t.regs[rNext]&1 != 0 {
 			return ChaseMarked
 		}
 		addr = t.regs[rCurr] + keyBytes
-		t.charge(t.memCost(costs.Load, addr))
+		t.charge(t.memCost(load, addr))
 		t.safepoint()
 		t.regs[rKey] = heap.Load(addr)
 		if t.regs[rKey] >= key {
 			return ChaseFound
 		}
-		t.charge(costs.RegOp)
+		t.charge(regOp)
 		t.regs[rPrev] = t.regs[rCurr] + nextBytes
-		t.charge(costs.RegOp)
+		t.charge(regOp)
 		t.regs[rCurr] = t.regs[rNext] &^ 1
 	}
-	return ChaseEnd
+}
+
+// aliasedChase is ChaseSorted's cold failure path for a register named
+// twice: the walk's steps would then depend on their write order.
+//
+//go:noinline
+func aliasedChase(rPrev, rCurr, rNext, rKey int) {
+	panic(fmt.Sprintf("simt: ChaseSorted registers must be distinct (prev %d, curr %d, next %d, key %d)", rPrev, rCurr, rNext, rKey))
 }
 
 // Store writes regs[srcReg] to the word at regs[addrReg] + offWords*8.
