@@ -93,11 +93,46 @@ type chaseSnap struct {
 	regs                       [NumRegs]uint64
 	now, cycles, handlerCycles int64
 	stats                      SimStats
+	lines                      uint64    // lineDigest of the cache tags and line homes
+	remoteProbes               [3]uint64 // fillProbe's per-thread RemoteLineFill calls
 }
 
 func snapOf(th *Thread, reason int) chaseSnap {
-	return chaseSnap{reason, th.regs, th.now, th.cycles, th.handlerCycles, th.sim.stats}
+	snap := chaseSnap{reason: reason, regs: th.regs, now: th.now, cycles: th.cycles,
+		handlerCycles: th.handlerCycles, stats: th.sim.stats, lines: lineDigest(th.sim)}
+	if p, ok := th.sim.probe.(*fillProbe); ok {
+		snap.remoteProbes = p.remote
+	}
+	return snap
 }
+
+// lineDigest folds every core's cache tags and replacement cursors and
+// every line's home node into one FNV-1a word: the state a memory
+// access mutates besides the clock and the fill counts.
+func lineDigest(s *Sim) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) { h = (h ^ v) * 1099511628211 }
+	for _, c := range s.caches {
+		for _, tag := range c.tags {
+			mix(tag)
+		}
+		for _, v := range c.victim {
+			mix(uint64(v))
+		}
+	}
+	for _, home := range s.lineHome {
+		mix(uint64(home))
+	}
+	return h
+}
+
+// fillProbe counts Probe.RemoteLineFill calls per thread id.
+type fillProbe struct{ remote [3]uint64 }
+
+func (p *fillProbe) Alloc(*Thread, int64, bool)  {}
+func (p *fillProbe) Free(*Thread, int64, bool)   {}
+func (p *fillProbe) RemoteLineFill(t *Thread)    { p.remote[t.ID()]++ }
+func (p *fillProbe) SignalSent(from, to *Thread) {}
 
 // chaseRun walks a sorted chain with marked nodes for many target keys
 // in both stop modes, under a tiny quantum and a peer that keeps
@@ -249,48 +284,98 @@ func TestChaseSortedRejectsAliasedRegisters(t *testing.T) {
 	}
 }
 
-// runAheadRun drives a walker over markedChain with chase on a one-core
-// flat machine, the configuration where ChaseSorted runs ahead in
-// locals.  A peer on the same core snapshots the walker (reason -2)
-// whenever it holds the core, that is after every quantum the walker
-// gives up, so a step run ahead past a quantum end, or registers and
-// clocks left stale in locals, show in the peer's view.  body takes its
-// own snapshots through snap.
-func runAheadRun(t *testing.T, chase chaser, body func(th *Thread, head uint64, chase chaser, snap func(int))) []chaseSnap {
-	t.Helper()
-	s := New(Config{
+// runAheadMachines are the machines the run-ahead twins run on: a flat
+// one, one with a cache model small enough that the chain's lines keep
+// evicting each other, and two nodes.  The walker runs on core 0.
+func runAheadMachines() map[string]Config {
+	flat := Config{
 		Cores:   1,
 		Quantum: 2000,
 		Seed:    1,
 		Heap:    simmem.Config{Words: 1 << 14, Check: true, Poison: true},
-	})
-	head, _ := markedChain(s.Heap())
+	}
+	cache, numa := flat, flat
+	cache.CacheSim = true
+	cache.CacheSets = 8
+	numa.Cores, numa.Nodes = 2, 2
+	return map[string]Config{"flat": flat, "cache": cache, "numa": numa}
+}
+
+// worstStep is the most one walk step can cost on s's machine: two
+// loads that both miss and fill remotely, and two register writes.
+func worstStep(s *Sim) int64 {
+	c := s.cfg.Costs
+	worst := c.Load
+	if s.caches != nil {
+		worst += c.MissPenalty
+	}
+	if s.topo.nodes > 1 {
+		worst += c.RemoteFill
+	}
+	return 2*worst + 2*c.RegOp
+}
+
+// runAheadRun drives a walker over markedChain with chase on a machine
+// built from cfg.  A peer on the walker's core snapshots the walker
+// (reason -2) whenever it holds the core, that is after every quantum
+// the walker gives up, so a step run ahead past a quantum end, or
+// registers and clocks left stale in locals, show in the peer's view.
+// On two nodes a third thread on node 1 keeps touching the chain, so
+// the walker's fills alternate between remote and local.  body walks
+// with the chaser it is handed, which snapshots (reason -3) before each
+// walk, and takes its own snapshots through snap.
+func runAheadRun(t *testing.T, cfg Config, chase chaser, body func(th *Thread, head uint64, chase chaser, snap func(int))) []chaseSnap {
+	t.Helper()
+	s := New(cfg)
+	s.SetProbe(&fillProbe{})
+	head, nodes := markedChain(s.Heap())
 	var snaps []chaseSnap
 	walker := s.Spawn("walker", func(th *Thread) {
-		body(th, head, chase, func(reason int) { snaps = append(snaps, snapOf(th, reason)) })
+		snap := func(reason int) { snaps = append(snaps, snapOf(th, reason)) }
+		walk := func(th *Thread, key uint64, stopOnMark bool) int {
+			snap(-3)
+			return chase(th, key, stopOnMark)
+		}
+		body(th, head, walk, snap)
 	})
-	s.Spawn("peer", func(th *Thread) {
+	peer := s.Spawn("peer", func(th *Thread) {
 		for !walker.Exited() {
 			snaps = append(snaps, snapOf(walker, -2))
 			th.Work(2000)
 		}
 	})
+	if cfg.Nodes > 1 {
+		walker.Pin(0)
+		peer.Pin(0)
+		s.Spawn("toucher", func(th *Thread) {
+			for !walker.Exited() {
+				for _, n := range nodes {
+					th.Touch(n + chainKeyOff*simmem.WordSize)
+					th.Touch(n + chainNextOff*simmem.WordSize)
+				}
+				th.Work(3000)
+			}
+		}).Pin(1)
+	}
 	mustRun(t, s)
 	return snaps
 }
 
 // TestChaseRunAheadMatchesLoadSequence pins the run-ahead to the
-// per-call sequence at its edges: a quantum ending at every offset of a
-// step (among them exactly at the step's end, now+2·Load == quantumEnd,
-// and between its two loads), a walk inside a handler with a second
-// signal pending, and mark stops.
+// per-call sequence at its edges, on a flat machine, under the cache
+// model and on two nodes: a quantum ending at every offset of a step
+// (among them exactly at the step's end and between its two loads), a
+// walk that starts with a signal deliverable, a walk inside a handler
+// with a second signal pending, and mark stops.
+// The modeled machines must see their walks miss in the cache or fill
+// lines from both nodes.
 func TestChaseRunAheadMatchesLoadSequence(t *testing.T) {
-	costs := DefaultCosts()
-	step := 2*costs.Load + 2*costs.RegOp
 	cases := map[string]func(th *Thread, head uint64, chase chaser, snap func(int)){
 		// Place the clock so that step i of a walk over the whole chain
-		// starts slack cycles before the quantum ends.
+		// starts slack cycles before the quantum ends (on a modeled
+		// machine about i steps in: step costs vary there).
 		"quantum end": func(th *Thread, head uint64, chase chaser, snap func(int)) {
+			step := worstStep(th.sim)
 			for _, i := range []int64{0, 3} {
 				for slack := int64(0); slack <= step+1; slack++ {
 					th.Yield()
@@ -319,6 +404,17 @@ func TestChaseRunAheadMatchesLoadSequence(t *testing.T) {
 			th.Signal(th, 0)
 			th.Step()
 		},
+		// A self-signal is pending, and deliverable, as the walk
+		// starts: the walk's first safepoint must run the handler.
+		"signal pending": func(th *Thread, head uint64, chase chaser, snap func(int)) {
+			th.Sim().SetSignalHandler(0, func(th *Thread) { snap(-1) })
+			for _, key := range []uint64{55, 1000} {
+				th.SetReg(cPrev, head)
+				th.Load(cCurr, cPrev, 0)
+				th.Signal(th, 0)
+				snap(chase(th, key, false))
+			}
+		},
 		// Stop at each marked node, as search does before its snip.
 		"marked": func(th *Thread, head uint64, chase chaser, snap func(int)) {
 			th.SetReg(cPrev, head)
@@ -335,35 +431,70 @@ func TestChaseRunAheadMatchesLoadSequence(t *testing.T) {
 	}
 	for name, body := range cases {
 		t.Run(name, func(t *testing.T) {
-			want := runAheadRun(t, chaseByCalls, body)
-			got := runAheadRun(t, chaseFused, body)
-			if len(got) != len(want) {
-				t.Fatalf("%d snapshots, want %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("snapshot %d of %d diverged:\n got %+v\nwant %+v", i, len(want), got[i], want[i])
-				}
+			for machine, cfg := range runAheadMachines() {
+				t.Run(machine, func(t *testing.T) {
+					want := runAheadRun(t, cfg, chaseByCalls, body)
+					got := runAheadRun(t, cfg, chaseFused, body)
+					if len(got) != len(want) {
+						t.Fatalf("%d snapshots, want %d", len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("snapshot %d of %d diverged:\n got %+v\nwant %+v", i, len(want), got[i], want[i])
+						}
+					}
+					if name == "quantum end" {
+						assertWalksModeled(t, cfg, want)
+					}
+				})
 			}
 		})
+	}
+}
+
+// assertWalksModeled fails unless the walks in snaps exercised cfg's
+// line model: under the cache model some walk changed the cache tags,
+// that is missed; on two nodes the walker's own walks filled lines
+// remotely and the machine filled lines locally.
+func assertWalksModeled(t *testing.T, cfg Config, snaps []chaseSnap) {
+	t.Helper()
+	var before chaseSnap
+	var changedLines, remoteWalks int
+	for _, s := range snaps {
+		switch {
+		case s.reason == -3:
+			before = s
+		case s.reason >= 0:
+			if s.lines != before.lines {
+				changedLines++
+			}
+			if s.remoteProbes[0] > before.remoteProbes[0] {
+				remoteWalks++
+			}
+		}
+	}
+	last := snaps[len(snaps)-1].stats
+	if cfg.CacheSim && changedLines == 0 {
+		t.Errorf("no walk missed in the cache")
+	}
+	if cfg.Nodes > 1 && (remoteWalks == 0 || last.LocalLineFills == 0) {
+		t.Errorf("%d walks filled remotely, %d local fills: want both", remoteWalks, last.LocalLineFills)
 	}
 }
 
 // TestChaseRunAheadKeyFault: a node whose link word is live but whose
 // key word is freed fails in the middle of a step.  The run-ahead must
 // leave that step to the exact loop, which raises the per-call
-// sequence's Violation at its clock and register state.
+// sequence's Violation at its clock, register, fill-count, cache and
+// line-home state, on every machine.
 func TestChaseRunAheadKeyFault(t *testing.T) {
 	// Nodes are 16-byte blocks holding the link at word 0; a node's key
 	// is word 0 of the adjacent block.
 	const nextOff, keyOff = 0, 2
-	run := func(chase chaser) (*simmem.Violation, chaseSnap, uint64) {
-		s := New(Config{
-			Cores:   1,
-			Quantum: 1 << 40,
-			Seed:    1,
-			Heap:    simmem.Config{Words: 1 << 14, Check: true, Poison: true},
-		})
+	run := func(cfg Config, chase chaser) (*simmem.Violation, chaseSnap, uint64, uint64) {
+		cfg.Quantum = 1 << 40
+		s := New(cfg)
+		s.SetProbe(&fillProbe{})
 		h := s.Heap()
 		head := h.Alloc(8)
 		var b []uint64
@@ -381,26 +512,40 @@ func TestChaseRunAheadKeyFault(t *testing.T) {
 			h.Store(b[2*i+1], uint64(10*(i+1)))
 		}
 		h.Free(b[5]) // node b[4]'s key word
+		s.setHome(b[0], 8*16, 1)
+		fresh := lineDigest(s)
 		walker := s.Spawn("walker", func(th *Thread) {
 			th.SetReg(cPrev, head)
 			th.Load(cCurr, cPrev, 0)
 			chase(th, 1000, false)
 		})
+		walker.Pin(0)
 		var v *simmem.Violation
 		if err := s.Run(); !errors.As(err, &v) {
 			t.Fatalf("want a heap violation, got %v", err)
 		}
-		return v, snapOf(walker, 0), b[4]
+		return v, snapOf(walker, 0), b[4], fresh
 	}
-	want, wantSnap, node := run(chaseByCallsAt(nextOff, keyOff))
-	got, gotSnap, _ := run(chaseFusedAt(nextOff, keyOff))
-	if want.Kind != simmem.VUseAfterFree || want.Addr != node+keyOff*simmem.WordSize || want.Op != "load" {
-		t.Fatalf("reference violation %v is not a use after free of node %#x's key word", want, node)
-	}
-	if got.Kind != want.Kind || got.Addr != want.Addr || got.Op != want.Op {
-		t.Errorf("violation %v, want %v", got, want)
-	}
-	if gotSnap != wantSnap {
-		t.Errorf("state at the fault:\n got %+v\nwant %+v", gotSnap, wantSnap)
+	for machine, cfg := range runAheadMachines() {
+		t.Run(machine, func(t *testing.T) {
+			want, wantSnap, node, fresh := run(cfg, chaseByCallsAt(nextOff, keyOff))
+			got, gotSnap, _, _ := run(cfg, chaseFusedAt(nextOff, keyOff))
+			if want.Kind != simmem.VUseAfterFree || want.Addr != node+keyOff*simmem.WordSize || want.Op != "load" {
+				t.Fatalf("reference violation %v is not a use after free of node %#x's key word", want, node)
+			}
+			if got.Kind != want.Kind || got.Addr != want.Addr || got.Op != want.Op {
+				t.Errorf("violation %v, want %v", got, want)
+			}
+			if gotSnap != wantSnap {
+				t.Errorf("state at the fault:\n got %+v\nwant %+v", gotSnap, wantSnap)
+			}
+			modeled := cfg.CacheSim || cfg.Nodes > 1
+			if modeled && wantSnap.lines == fresh {
+				t.Errorf("the walk left the cache tags and line homes untouched")
+			}
+			if cfg.Nodes > 1 && (wantSnap.stats.RemoteLineFills == 0 || wantSnap.stats.LocalLineFills == 0) {
+				t.Errorf("fills at the fault: %+v, want local and remote", wantSnap.stats)
+			}
+		})
 	}
 }

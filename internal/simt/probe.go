@@ -20,7 +20,9 @@ type Probe interface {
 	// staged cross-node batch flushed over the interconnect.
 	Free(t *Thread, dur int64, flushed bool)
 	// RemoteLineFill fires on each memory access that pulled a cache
-	// line from a remote node.
+	// line from a remote node.  It may fire inside ChaseSorted's
+	// run-ahead, where t's clock and registers lag the walk, so it must
+	// not read them.
 	RemoteLineFill(t *Thread)
 	// SignalSent fires after Thread.Signal delivers-or-queues a signal
 	// to a live target.

@@ -337,6 +337,11 @@ func (t *Thread) memCost(base int64, addr uint64) int64 {
 	return t.modeledMemCost(base, addr)
 }
 
+// modeledMemCost is memCost's cache and topology model.  It must read
+// neither t.now nor the register file: ChaseSorted's modeled run-ahead
+// calls it while the walk's clock and registers are held in locals.
+// Its only effects are the cache tags, the line homes, the fill counts
+// and the probe's RemoteLineFill.
 func (t *Thread) modeledMemCost(base int64, addr uint64) int64 {
 	fill := true
 	if t.sim.caches != nil {
@@ -410,23 +415,26 @@ const (
 // until one of the returns fires.  The four registers must be distinct.
 //
 // It is that sequence fused into one call, not an approximation of it:
-// registers, clocks, counters, signal delivery points, quantum ends and
-// heap violations are exactly those of the per-call sequence.  The
-// exact loop below runs each step as that sequence does: every access
-// pays its own memCost, charge and safepoint, every register write its
-// own RegOp, and registers are re-read after each safepoint, because a
-// handler may run there.
+// registers, clocks, counters, cache and line-home state, signal
+// delivery points, quantum ends and heap violations are exactly those
+// of the per-call sequence.  The exact loop below runs each step as
+// that sequence does: every access pays its own memCost, charge and
+// safepoint, every register write its own RegOp, and registers are
+// re-read after each safepoint, because a handler may run there.
 //
-// On a flat machine with the cache model off a load costs exactly
-// Costs.Load, and while no signal is deliverable a safepoint returns
-// inline until the clock reaches the quantum end; nothing else runs in
-// between.  So a step whose two loads both land before the quantum end
-// (now+2·Load < quantumEnd) and whose two addresses pass the heap's
-// checks runs ahead in locals, and the clocks and registers are written
-// back once, when the run-ahead stops.  The exact loop takes the step
-// that could reach the quantum end, a step with a failing address
-// (which it then faults on exactly as Load does) and every step on a
-// modeled machine, where an access's cost depends on the address.
+// While no signal is deliverable a safepoint returns inline until the
+// clock reaches the quantum end, and nothing else runs in between.  So
+// a step whose two loads both land before the quantum end, even at the
+// highest cost an access can have on the machine, and whose two
+// addresses pass the heap's checks runs ahead: the clock and the four
+// registers stay in locals and are written back once, when the
+// run-ahead stops.  On a flat machine with the cache model off every
+// load costs exactly Costs.Load, and the loop below runs such steps
+// (now+2·Load < quantumEnd) entirely in locals; on every other machine
+// chaseAheadModeled runs them.  The exact loop takes only the step that
+// could reach the quantum end, every step while a signal is
+// deliverable, and a step with a failing address, which it then faults
+// on exactly as Load does.
 func (t *Thread) ChaseSorted(rPrev, rCurr, rNext, rKey int, nextOff, keyOff int, key uint64, stopOnMark bool) int {
 	t.checkReg(rPrev)
 	t.checkReg(rCurr)
@@ -440,8 +448,9 @@ func (t *Thread) ChaseSorted(rPrev, rCurr, rNext, rKey int, nextOff, keyOff int,
 	costs := &t.sim.cfg.Costs
 	heap := t.sim.heap
 	load, regOp := costs.Load, costs.RegOp
-	// The budget test below assumes a load never moves the clock back.
+	// The budget tests below assume an access never moves the clock back.
 	flat := t.sim.caches == nil && t.sim.topo.nodes <= 1 && load >= 0
+	modeled := !flat && load >= 0 && costs.MissPenalty >= 0 && costs.RemoteFill >= 0
 	for {
 		if flat && (t.sigPending == 0 || t.sigDepth > 0) {
 			prev, curr, next, k := t.regs[rPrev], t.regs[rCurr], t.regs[rNext], t.regs[rKey]
@@ -480,8 +489,12 @@ func (t *Thread) ChaseSorted(rPrev, rCurr, rNext, rKey int, nextOff, keyOff int,
 				return reason
 			}
 		}
-		// One exact step: the run-ahead could not take it, or the
-		// machine is modeled.
+		if modeled && (t.sigPending == 0 || t.sigDepth > 0) {
+			if reason := t.chaseAheadModeled(rPrev, rCurr, rNext, rKey, nextBytes, keyBytes, key, stopOnMark); reason >= 0 {
+				return reason
+			}
+		}
+		// One exact step: the run-ahead could not take it.
 		if t.regs[rCurr] == 0 {
 			return ChaseEnd
 		}
@@ -504,6 +517,63 @@ func (t *Thread) ChaseSorted(rPrev, rCurr, rNext, rKey int, nextOff, keyOff int,
 		t.charge(regOp)
 		t.regs[rCurr] = t.regs[rNext] &^ 1
 	}
+}
+
+// chaseAheadModeled is ChaseSorted's run-ahead on a cache-model or NUMA
+// machine, where an access's cost depends on its line.  An access costs
+// at most worst = Load, plus MissPenalty with the cache model on, plus
+// RemoteFill on more than one node, so a step runs while
+// now+2·worst < quantumEnd.  Each load still goes through
+// modeledMemCost, in the per-call order, so cache tags, line homes,
+// fill counts and probe calls are those of the exact loop; only the
+// clock and the four registers stay in locals.  Both of a step's words
+// pass TryLoad before either is costed, so a step that would fault
+// leaves no trace and the exact loop re-runs it; a mark stop costs only
+// the link word, as the per-call sequence does.  It returns the stop
+// reason, or -1 when the exact loop must take the next step.  It is a
+// method of its own because in ChaseSorted the modeledMemCost call
+// would make the flat run-ahead's locals spill.
+func (t *Thread) chaseAheadModeled(rPrev, rCurr, rNext, rKey int, nextBytes, keyBytes, key uint64, stopOnMark bool) int {
+	costs := &t.sim.cfg.Costs
+	heap := t.sim.heap
+	load, regOp := costs.Load, costs.RegOp
+	worst := load
+	if t.sim.caches != nil {
+		worst += costs.MissPenalty
+	}
+	if t.sim.topo.nodes > 1 {
+		worst += costs.RemoteFill
+	}
+	prev, curr, next, k := t.regs[rPrev], t.regs[rCurr], t.regs[rNext], t.regs[rKey]
+	start, now, end := t.now, t.now, t.quantumEnd
+	reason := -1
+	for curr != 0 && now+2*worst < end {
+		n, ok := heap.TryLoad(curr + nextBytes)
+		if !ok {
+			break
+		}
+		if stopOnMark && n&1 != 0 {
+			now += t.modeledMemCost(load, curr+nextBytes)
+			next, reason = n, ChaseMarked
+			break
+		}
+		kv, ok := heap.TryLoad(curr + keyBytes)
+		if !ok {
+			break
+		}
+		now += t.modeledMemCost(load, curr+nextBytes)
+		now += t.modeledMemCost(load, curr+keyBytes)
+		next, k = n, kv
+		if kv >= key {
+			reason = ChaseFound
+			break
+		}
+		now += 2 * regOp
+		prev, curr = curr+nextBytes, n&^1
+	}
+	t.regs[rPrev], t.regs[rCurr], t.regs[rNext], t.regs[rKey] = prev, curr, next, k
+	t.charge(now - start) // t.now is still start
+	return reason
 }
 
 // aliasedChase is ChaseSorted's cold failure path for a register named
