@@ -34,10 +34,9 @@
 // and the watermark off, the protocol is bit-identical in virtual-cycle
 // charges to the paper's serial collect.
 //
-// On a multi-node topology, Config.PerNode restructures the pipeline
-// once more (see pernode.go): retirements are routed to per-node shard
-// groups at Free time and each node runs its own reclaimer over its own
-// group, with a cross-node handshake only at the scan barrier.
+// That pipeline exists once, run in collect slots laid out three ways:
+// classic, overlapped and serialized (see slot.go; the per-node
+// retirement routing the last two rely on is in pernode.go).
 package core
 
 import (
@@ -137,8 +136,8 @@ type Config struct {
 	// HelpFree enables the paper's §7 future-work extension: unmarked
 	// nodes are queued and freed by the *next* phase's scanners instead
 	// of all by the reclaimer, trading reclaimer latency for handler
-	// work.  With Shards <= 1 scanners drain chunks of one queue; with
-	// sharding they claim per-shard lists, chunk-bounded the same way.
+	// work.  Scanners claim per-shard free lists (one list that any
+	// thread may claim when Shards <= 1), chunk-bounded per handler.
 	HelpFree bool
 
 	// HelpFreeChunk caps how many queued nodes one scanner frees per
@@ -151,15 +150,15 @@ type Config struct {
 	Claim ClaimPolicy
 
 	// PerNode enables per-node retirement routing and node-local
-	// reclaimers (see pernode.go).  Free tags each retired address with
-	// the retiring thread's NUMA node; a full ring is drained by its
-	// *owner* into per-node sub-buffers (ring → home-node sub-buffer),
-	// and each node runs its own collects over its own single-node
-	// shard group — the only cross-node synchronization is the scan
-	// barrier handshake.  Requires a multi-node topology (silently
-	// inert when the machine is flat, keeping the flat model
-	// bit-identical) and at most 8 nodes (the tag rides in the ring
-	// entry's low three bits).
+	// reclaimers (see pernode.go and slot.go).  Free tags each retired
+	// address with the retiring thread's NUMA node; a full ring is
+	// drained by its *owner* into per-node sub-buffers (ring →
+	// home-node sub-buffer), and each node runs its own collects in its
+	// own slot over its own single-node shard group — the only
+	// cross-node synchronization is the scan barrier handshake.
+	// Requires a multi-node topology (silently inert when the machine
+	// is flat, keeping the flat model bit-identical) and at most 8
+	// nodes (the tag rides in the ring entry's low three bits).
 	PerNode bool
 
 	// StealThreshold is the per-node backlog (in buffered addresses) at
@@ -174,13 +173,12 @@ type Config struct {
 	// BufferSize x the node's core count).
 	StealThreshold int
 
-	// SerializeCollects forces per-node collects back onto one
-	// machine-wide reclamation lock — the pre-overlap pipeline, kept as
-	// the A9 ablation's control.  By default (false) PerNode collects on
-	// different nodes run truly concurrently: each node's reclaimer owns
-	// a per-node collect slot, handshake, and shard group (see
-	// overlap.go), and the only cross-node rendezvous is the scan
-	// barrier.  Irrelevant when PerNode is off.
+	// SerializeCollects admits every per-node slot's collects through
+	// one machine-wide reclamation lock, so no two collects overlap —
+	// the A9 ablation's control.  By default (false) each node's slot
+	// has its own admission lock and PerNode collects on different
+	// nodes run truly concurrently (see slot.go); the only cross-node
+	// rendezvous is the scan barrier.  Irrelevant when PerNode is off.
 	SerializeCollects bool
 
 	// Obs, when non-nil, records collect-lifecycle spans (trigger,
@@ -247,11 +245,9 @@ type Stats struct {
 
 	// Steal accounting under PerNode: collects run for a node by a
 	// thread of another node, and sweep lists drained cross-node, both
-	// gated by Config.StealThreshold.  With concurrent collects
-	// (SerializeCollects off) a steal additionally requires the target
-	// node's collect slot to be free — TryLock arbitration means a
-	// stolen collect never targets a node whose own reclaimer is
-	// active, and never blocks an idle node's own collect.
+	// gated by Config.StealThreshold.  A stolen collect TryLocks the
+	// target node's slot, so it never targets a node whose own
+	// reclaimer is active and never blocks an idle node's own collect.
 	StolenCollects uint64
 	StolenSweeps   uint64
 
@@ -274,37 +270,30 @@ type ThreadScan struct {
 	cost simt.CostModel // sim's cost model, immutable after simt.New
 	obs  *obs.Recorder  // == cfg.Obs; nil-safe on every call
 
-	lock *simt.Mutex // at most one reclaimer (paper §4.2)
+	// lock guards thread registration, and admits collects on every
+	// slot whose lock it is (classic and serialized layouts): at most
+	// one reclaimer there (paper §4.2).
+	lock *simt.Mutex
 
 	perThread  []*tsThread
 	registered []bool
 
-	// Collect state (valid while lock is held).
-	shards      *shardSet
-	scratch     []uint64        // ring-drain staging
-	hs          *simt.Handshake // the scan barrier (ACK handshake)
-	reclaimerID int             // thread driving the current collect (help attribution)
+	// slots are the collect pipelines: one spanning every node
+	// (classic), or one per node (PerNode; see slot.go).
+	slots   []*slot
+	scratch []uint64 // ring-drain staging
 
-	// Per-node reclamation state (PerNode mode; see pernode.go).
+	// Per-node routing state (PerNode mode; see pernode.go).
 	// nodeBuf[n] is node n's home sub-buffer — addresses routed there
 	// at Free time, single-node by construction.  nodeRemark[n] holds
 	// node n's re-buffered marked (still-referenced) nodes; like the
 	// classic path's ringCount exclusion, they do not count toward the
 	// collect trigger, or pinned garbage would arm it permanently.
 	perNode     bool
-	collecting  int // node of the in-flight per-node collect (-1 idle)
 	nodeBuf     [][]uint64
 	nodeRemark  [][]uint64
 	nodeTrigger []int // per-node sub-buffer size that triggers a collect
 	stealAt     int   // per-node backlog at which remote stealing engages
-
-	// Concurrent per-node collects (PerNode without SerializeCollects;
-	// see overlap.go).  nc[n] is node n's independent collect pipeline —
-	// its own admission lock, scan handshake, shard group, and sweep
-	// lists — so collects on different nodes overlap; the machine-wide
-	// lock above then guards only thread registration.
-	overlap bool
-	nc      []*nodeCollect
 
 	// ringCount approximates the number of nodes buffered since the
 	// last collect began (fresh retirement pressure) for the watermark
@@ -322,23 +311,16 @@ type ThreadScan struct {
 	// that parked it, in lockstep with orphans.  Nil when flat.
 	orphanHome []int8
 
-	// HelpFree state.  pendingFree/helpQueue is the classic single
-	// chunked queue (Shards <= 1); pendingShards/helpShards hold whole
-	// per-shard free lists — each tagged with its shard's home node —
-	// that scanners claim under the sharded pipeline.
-	pendingFree   []uint64
-	helpQueue     []uint64
-	pendingShards []freeList
-	helpShards    []freeList
-
 	stats Stats
 }
 
 // freeList is one claimable sweep unit: the unmarked nodes of one
 // shard, tagged with the shard's home node so claimers can prefer
-// sweeping locally-homed lines.  claimed marks that the unit has been
-// counted in the claim-locality stats, so a chunk-bounded remainder
-// re-appended for the next helper is not counted again.
+// sweeping locally-homed lines (home -1, the paper's single help queue
+// at K = 1, is anyone's and counts toward no claim counter).  claimed
+// marks that the unit has been counted in the claim-locality stats, so
+// a chunk-bounded remainder re-appended for the next helper is not
+// counted again.
 type freeList struct {
 	addrs   []uint64
 	home    int
@@ -350,6 +332,12 @@ type tsThread struct {
 	ring       *Ring
 	heapBlocks [][2]uint64 // {startAddr, words} private regions (§4.3)
 	inFlush    bool        // inside FlushAll (this thread's teardown sweeps skip steal/fill stats)
+
+	// Scan-target lists, reused so neither a handler run nor a
+	// reclaimer's own scan allocates: want is the handler's snapshot of
+	// the slots awaiting this thread's ack, own the reclaimer's slot.
+	want []*slot
+	own  []*slot
 }
 
 // New creates a ThreadScan domain bound to sim and installs its hooks.
@@ -357,15 +345,12 @@ type tsThread struct {
 func New(sim *simt.Sim, cfg Config) *ThreadScan {
 	cfg.fill()
 	ts := &ThreadScan{
-		sim:        sim,
-		cfg:        cfg,
-		cost:       sim.Config().Costs,
-		obs:        cfg.Obs,
-		lock:       sim.NewMutex("threadscan.reclaim"),
-		shards:     newShardSet(cfg.Shards, sim.Nodes()),
-		hs:         sim.NewHandshake("threadscan.scan"),
-		nodes:      sim.Nodes(),
-		collecting: -1,
+		sim:   sim,
+		cfg:   cfg,
+		cost:  sim.Config().Costs,
+		obs:   cfg.Obs,
+		lock:  sim.NewMutex("threadscan.reclaim"),
+		nodes: sim.Nodes(),
 	}
 	if cfg.PerNode && ts.nodes > 1 {
 		if ts.nodes > MaxRoutedNodes {
@@ -388,13 +373,8 @@ func New(sim *simt.Sim, cfg Config) *ThreadScan {
 				lo, hi := sim.NodeCores(n)
 				tr = cfg.BufferSize * (hi - lo)
 			}
-			if tr < 1 {
-				tr = 1
-			}
-			ts.nodeTrigger[n] = tr
-			if tr > maxTrigger {
-				maxTrigger = tr
-			}
+			ts.nodeTrigger[n] = max(tr, 1)
+			maxTrigger = max(maxTrigger, tr)
 		}
 		ts.stealAt = cfg.StealThreshold
 		if ts.stealAt <= 0 {
@@ -402,24 +382,32 @@ func New(sim *simt.Sim, cfg Config) *ThreadScan {
 		}
 		ts.stats.NodeCollects = make([]uint64, ts.nodes)
 		ts.stats.NodeReclaimed = make([]uint64, ts.nodes)
-		if !cfg.SerializeCollects {
-			ts.overlap = true
-			ts.nc = make([]*nodeCollect, ts.nodes)
-			for n := range ts.nc {
-				ts.nc[n] = &nodeCollect{
-					node:        n,
-					lock:        sim.NewMutex(fmt.Sprintf("threadscan.reclaim.n%d", n)),
-					hs:          sim.NewHandshake(fmt.Sprintf("threadscan.scan.n%d", n)),
-					shards:      newShardSet(cfg.Shards, ts.nodes),
-					reclaimerID: -1,
-				}
+		for n := 0; n < ts.nodes; n++ {
+			lock := ts.lock
+			if !cfg.SerializeCollects {
+				lock = sim.NewMutex(fmt.Sprintf("threadscan.reclaim.n%d", n))
 			}
+			ts.addSlot(n, lock, fmt.Sprintf("threadscan.scan.n%d", n))
 		}
+	} else {
+		ts.addSlot(-1, ts.lock, "threadscan.scan")
 	}
 	sim.SetSignalHandler(cfg.Signal, ts.scanHandler)
 	sim.OnThreadStart(ts.threadStart)
 	sim.OnThreadExit(ts.threadExit)
 	return ts
+}
+
+// addSlot appends an idle collect slot for node (-1: every node),
+// admitted through lock.
+func (ts *ThreadScan) addSlot(node int, lock *simt.Mutex, scan string) {
+	ts.slots = append(ts.slots, &slot{
+		node:        node,
+		lock:        lock,
+		hs:          ts.sim.NewHandshake(scan),
+		shards:      newShardSet(ts.cfg.Shards, ts.nodes),
+		reclaimerID: -1,
+	})
 }
 
 // Stats returns a snapshot of protocol counters.  The per-node slices
@@ -448,7 +436,7 @@ func (ts *ThreadScan) PerNode() bool { return ts.perNode }
 func (ts *ThreadScan) BufferSize() int { return ts.cfg.BufferSize }
 
 // Shards returns the collect pipeline's shard count K.
-func (ts *ThreadScan) Shards() int { return ts.shards.k() }
+func (ts *ThreadScan) Shards() int { return ts.slots[0].shards.k() }
 
 // threadStart registers a thread with the domain (the analog of the
 // paper's pthread_create hook).
@@ -464,51 +452,40 @@ func (ts *ThreadScan) threadStart(t *simt.Thread) {
 	ts.lock.Unlock(t)
 }
 
-// threadExit deregisters a thread, moving its unprocessed buffer to the
-// orphan list so its nodes are still reclaimed by future collects.
-// ringCount is unchanged: orphans stay part of the global buffered
-// count.
+// threadExit deregisters a thread.  Its unprocessed buffer moves to
+// the orphan list (classic) or drains straight into the per-node
+// sub-buffers its tagged entries were destined for (PerNode; routeRing
+// charges the copy), so its nodes are still reclaimed by future
+// collects.  ringCount is unchanged: orphans stay part of the global
+// buffered count.
+//
+// An in-flight collect's scan barrier may count this thread, so it
+// holds every slot's admission lock (ascending, after the registration
+// lock — the one global lock order) before it deregisters.  The waits
+// are interruptible, so pending scan requests are still answered — and
+// acked — from right here, and by the time all slots are held no
+// handshake wants the thread.  A slot admitted through the
+// registration lock is held already.
 func (ts *ThreadScan) threadExit(t *simt.Thread) {
 	ts.lock.Lock(t)
-	if ts.overlap {
-		// An in-flight collect's scan barrier may count this thread.
-		// Hold every node's collect slot (ascending — the one global
-		// lock order) so no phase is mid-handshake when we vanish; the
-		// waits are interruptible, so pending scan requests are still
-		// answered — and acked — from right here, and by the time all
-		// slots are held no handshake wants us.
-		for _, nc := range ts.nc {
-			nc.lock.Lock(t)
-		}
+	for _, s := range ts.slots {
+		ts.admit(t, s)
 	}
 	id := t.ID()
 	ts.registered[id] = false
-	if ts.overlap {
-		ts.routeRing(t, ts.perThread[id])
-		for i := len(ts.nc) - 1; i >= 0; i-- {
-			ts.nc[i].lock.Unlock(t)
-		}
-		ts.lock.Unlock(t)
-		return
-	}
 	if ts.perNode {
-		// Routed mode has no orphan list: the exiting thread's buffered
-		// entries carry their node tags, so they drain straight into the
-		// per-node sub-buffers they were destined for (routeRing charges
-		// the copy).
 		ts.routeRing(t, ts.perThread[id])
-		ts.lock.Unlock(t)
-		return
-	}
-	var n int
-	ts.orphans, n = ts.perThread[id].ring.Drain(ts.orphans)
-	if ts.nodes > 1 {
-		node := int8(t.Node())
-		for i := 0; i < n; i++ {
-			ts.orphanHome = append(ts.orphanHome, node)
+	} else {
+		var n int
+		ts.scratch, n = ts.perThread[id].ring.Drain(ts.scratch[:0])
+		for _, a := range ts.scratch {
+			ts.parkOrphan(t, a)
 		}
+		t.Charge(int64(n) * ts.costs().Load)
 	}
-	t.Charge(int64(n) * ts.costs().Load)
+	for i := len(ts.slots) - 1; i >= 0; i-- {
+		ts.release(t, ts.slots[i])
+	}
 	ts.lock.Unlock(t)
 }
 
@@ -529,21 +506,22 @@ func (ts *ThreadScan) Free(t *simt.Thread, addr uint64) {
 		ts.freeRouted(t, tt, addr)
 		return
 	}
+	s := ts.slots[0]
 	if tt.ring.Push(addr) {
 		ts.ringCount++
 		if ts.cfg.CollectWatermark > 0 {
 			t.Charge(c.Load) // read the shared buffered-count estimate
 			if ts.ringCount >= ts.cfg.CollectWatermark {
-				ts.lock.Lock(t)
+				s.lock.Lock(t)
 				if ts.ringCount >= ts.cfg.CollectWatermark {
 					ts.stats.WatermarkCollects++
 					ts.obs.Instant(t, obs.KindWatermark)
-					ts.collect(t)
+					ts.collect(t, s)
 				} else {
 					// Another reclaimer collected while we waited.
 					ts.stats.AvoidedCollects++
 				}
-				ts.lock.Unlock(t)
+				s.lock.Unlock(t)
 			}
 		}
 		return
@@ -552,15 +530,15 @@ func (ts *ThreadScan) Free(t *simt.Thread, addr uint64) {
 	// drained us while we waited for the lock — paper §4.2: "a thread
 	// waiting to become a reclaimer will probably discover that its
 	// buffer has been drained ... and that it can go back to work").
-	ts.lock.Lock(t)
+	s.lock.Lock(t)
 	if tt.ring.Push(addr) {
 		ts.ringCount++
 		ts.stats.AvoidedCollects++
-		ts.lock.Unlock(t)
+		s.lock.Unlock(t)
 		return
 	}
 	ts.obs.Instant(t, obs.KindTrigger)
-	ts.collect(t)
+	ts.collect(t, s)
 	ts.ringCount++
 	if !tt.ring.Push(addr) {
 		// The collect re-buffered more marked (still-referenced) nodes
@@ -568,7 +546,7 @@ func (ts *ThreadScan) Free(t *simt.Thread, addr uint64) {
 		// next master buffer includes both.
 		ts.parkOrphan(t, addr)
 	}
-	ts.lock.Unlock(t)
+	s.lock.Unlock(t)
 }
 
 // parkOrphan appends addr to the orphan list, attributed to the NUMA
@@ -582,33 +560,71 @@ func (ts *ThreadScan) parkOrphan(t *simt.Thread, addr uint64) {
 
 // Collect forces a reclamation phase from thread t, regardless of
 // buffer occupancy.  Used by tests, teardown, and the harness.  Under
-// per-node routing it routes every live ring and collects each node
-// with backlog (ascending node order, for determinism).
+// per-node routing it routes every live ring (under the registration
+// lock) and collects each node with backlog (ascending node order, for
+// determinism); with nothing routed anywhere it still runs one (empty)
+// phase on t's node, so a forced collect ticks the HelpFree carry-over
+// as in the classic path.
 func (ts *ThreadScan) Collect(t *simt.Thread) {
-	if ts.overlap {
-		ts.collectForced(t)
-		return
-	}
 	ts.lock.Lock(t)
 	if ts.perNode {
 		ts.routeAllRings(t)
-		ran := false
-		for n := range ts.nodeBuf {
-			if len(ts.nodeBuf[n])+len(ts.nodeRemark[n]) > 0 {
-				ts.collectNode(t, n)
-				ran = true
-			}
-		}
-		if !ran {
-			// Nothing routed anywhere: still run one (empty) phase so a
-			// forced collect ticks the HelpFree carry-over, as in the
-			// classic path.
-			ts.collectNode(t, t.Node())
-		}
-	} else {
-		ts.collect(t)
 	}
-	ts.lock.Unlock(t)
+	shared := ts.slots[0].lock == ts.lock
+	if !shared {
+		ts.lock.Unlock(t)
+	}
+	if !ts.collectSlots(t, false) {
+		s := ts.slots[t.Node()]
+		ts.admit(t, s)
+		ts.collect(t, s)
+		ts.release(t, s)
+	}
+	if shared {
+		ts.lock.Unlock(t)
+	}
+}
+
+// collectSlots collects each slot in ascending order (a per-node slot
+// only when its node has backlog), reporting whether any collect ran.
+// A flush also drains each slot's sweep lists whatever the steal
+// threshold says, and frees the lists the collect just deferred under
+// HelpFree: at teardown there is no next phase to help.
+func (ts *ThreadScan) collectSlots(t *simt.Thread, flush bool) (ran bool) {
+	for _, s := range ts.slots {
+		ts.admit(t, s)
+		if s.node < 0 || ts.routed(s.node) > 0 {
+			ts.collect(t, s)
+			ran = true
+		}
+		if flush {
+			ts.drain(t, s)
+			ts.freeLists(t, s, s.pending, false)
+			s.pending = s.pending[:0]
+		}
+		ts.release(t, s)
+	}
+	return ran
+}
+
+// admit takes s's admission lock unless it is the registration lock,
+// which the caller then already holds (classic and serialized slots).
+func (ts *ThreadScan) admit(t *simt.Thread, s *slot) {
+	if s.lock != ts.lock {
+		s.lock.Lock(t)
+	}
+}
+
+// release undoes admit.
+func (ts *ThreadScan) release(t *simt.Thread, s *slot) {
+	if s.lock != ts.lock {
+		s.lock.Unlock(t)
+	}
+}
+
+// routed is node's buffered backlog awaiting its slot's next collect.
+func (ts *ThreadScan) routed(node int) int {
+	return len(ts.nodeBuf[node]) + len(ts.nodeRemark[node])
 }
 
 // AddHeapBlock registers a thread-private heap region to be scanned
@@ -654,28 +670,17 @@ func (ts *ThreadScan) RegisteredThreads() int {
 // Buffered returns the number of retired-but-unreclaimed nodes across
 // all buffers (diagnostics and leak accounting).
 func (ts *ThreadScan) Buffered() int {
-	n := len(ts.orphans) + len(ts.pendingFree) + len(ts.helpQueue)
-	for _, list := range ts.pendingShards {
-		n += len(list.addrs)
-	}
-	for _, list := range ts.helpShards {
-		n += len(list.addrs)
-	}
+	n := len(ts.orphans)
 	for _, tt := range ts.perThread {
 		if tt != nil {
 			n += tt.ring.Len()
 		}
 	}
 	for i := range ts.nodeBuf {
-		n += len(ts.nodeBuf[i]) + len(ts.nodeRemark[i])
+		n += ts.routed(i)
 	}
-	for _, nc := range ts.nc {
-		for _, list := range nc.pending {
-			n += len(list.addrs)
-		}
-		for _, list := range nc.help {
-			n += len(list.addrs)
-		}
+	for _, s := range ts.slots {
+		n += s.backlog()
 	}
 	return n
 }
@@ -698,36 +703,10 @@ func (ts *ThreadScan) FlushAll(t *simt.Thread) int {
 		}
 		before := ts.stats.Reclaimed + ts.stats.HelpFreed
 		ts.lock.Lock(t)
-		if ts.overlap {
-			ts.flushOverlap(t)
-		} else if ts.perNode {
+		if ts.perNode {
 			ts.routeAllRings(t)
-			for n := range ts.nodeBuf {
-				if len(ts.nodeBuf[n])+len(ts.nodeRemark[n]) > 0 {
-					ts.collectNode(t, n)
-				}
-			}
-			// At teardown, unclaimed sweep lists of *every* node are
-			// drained here, steal threshold notwithstanding.
-			ts.drainHelpQueue(t)
-		} else {
-			ts.collect(t)
 		}
-		// collect defers this phase's unmarked nodes under HelpFree;
-		// at teardown, free them immediately.
-		for _, addr := range ts.pendingFree {
-			ts.freeNode(t, addr)
-		}
-		ts.pendingFree = ts.pendingFree[:0]
-		for _, list := range ts.pendingShards {
-			for _, addr := range list.addrs {
-				ts.freeNode(t, addr)
-				if ts.perNode {
-					ts.stats.NodeReclaimed[list.home]++
-				}
-			}
-		}
-		ts.pendingShards = ts.pendingShards[:0]
+		ts.collectSlots(t, true)
 		ts.lock.Unlock(t)
 		if ts.stats.Reclaimed+ts.stats.HelpFreed == before {
 			break
@@ -737,267 +716,6 @@ func (ts *ThreadScan) FlushAll(t *simt.Thread) int {
 }
 
 func (ts *ThreadScan) costs() *simt.CostModel { return &ts.cost }
-
-// collect is TS-Collect (Algorithm 1, lines 1–16), run as a sharded
-// pipeline: aggregate into K address-sharded sub-buffers, prepare
-// (sort+dedup) each shard as an independently claimable unit, scan,
-// sweep shard by shard.  Caller holds the reclamation lock.
-func (ts *ThreadScan) collect(t *simt.Thread) {
-	c := ts.costs()
-	start := t.Cycles()
-	ts.stats.Collects++
-	ts.reclaimerID = t.ID()
-	ts.obs.Begin(t, obs.StageCollect)
-	defer ts.obs.End(t)
-
-	// HelpFree: the previous phase's unmarked nodes become this phase's
-	// help queue — scanners free them inside their handlers (§7:
-	// "TS-Scan would then check to see whether there are any pending
-	// nodes to free (from a previous iteration)").
-	ts.helpQueue = append(ts.helpQueue, ts.pendingFree...)
-	ts.pendingFree = ts.pendingFree[:0]
-	ts.helpShards = append(ts.helpShards, ts.pendingShards...)
-	ts.pendingShards = ts.pendingShards[:0]
-
-	// Aggregate all delete buffers into the sharded master buffer
-	// (§4.2's distributed-buffer design).  K=1 drains straight into
-	// the single shard — no routing, no staging copy on the hot path.
-	// Each drained address votes for the NUMA node of the thread that
-	// buffered it (the ring owner's node at drain time — exact for
-	// pinned threads, the retirer's last node otherwise), electing
-	// every shard's home for the affinity-first claim order.
-	ts.shards.reset()
-	k1 := ts.shards.k() == 1
-	multiNode := ts.nodes > 1
-	threads := ts.sim.Threads()
-	for id, tt := range ts.perThread {
-		if tt == nil || !ts.registered[id] {
-			continue
-		}
-		node := 0
-		if multiNode {
-			node = threads[id].Node()
-		}
-		var n int
-		if k1 {
-			sh := &ts.shards.sub[0]
-			sh.buf, n = tt.ring.Drain(sh.buf)
-			ts.shards.total += n
-			if multiNode {
-				sh.votes[node] += uint32(n)
-			}
-		} else {
-			ts.scratch, n = tt.ring.Drain(ts.scratch[:0])
-			for _, a := range ts.scratch {
-				ts.shards.add(a, node)
-			}
-		}
-		t.Charge(int64(n) * (c.Load + c.Step))
-	}
-	if len(ts.orphans) > 0 {
-		if k1 {
-			sh := &ts.shards.sub[0]
-			sh.buf = append(sh.buf, ts.orphans...)
-			ts.shards.total += len(ts.orphans)
-			if multiNode {
-				for _, h := range ts.orphanHome {
-					sh.votes[h]++
-				}
-			}
-		} else {
-			for i, a := range ts.orphans {
-				node := 0
-				if multiNode {
-					node = int(ts.orphanHome[i])
-				}
-				ts.shards.add(a, node)
-			}
-		}
-		t.Charge(int64(len(ts.orphans)) * (c.Load + c.Step))
-		ts.orphans = ts.orphans[:0]
-		ts.orphanHome = ts.orphanHome[:0]
-	}
-	ts.shards.computeHomes()
-	ts.ringCount = 0
-	if ts.shards.total == 0 {
-		// Nothing new to scan, but outstanding HelpFree work deferred
-		// by the previous phase must still be finished — teardown
-		// reaches here with empty rings and a populated help queue,
-		// which would otherwise leak permanently.
-		ts.drainHelpQueue(t)
-		ts.stats.CollectCycles += t.Cycles() - start
-		return
-	}
-	if ts.shards.total > ts.stats.MaxMaster {
-		ts.stats.MaxMaster = ts.shards.total
-	}
-
-	if ts.shards.k() == 1 {
-		// The paper's serial order: sort (Algorithm 1 line 2), then
-		// signal (lines 3–5).
-		ts.prepareShard(t, 0)
-		ts.signalPeers(t)
-	} else {
-		// Pipelined order: signal first, sort lazily.  Every probe
-		// (ours and the scanners') prepares its target shard on demand,
-		// and each handler additionally claims a fair share of shards
-		// to sort, so the sort work the paper serializes on the
-		// reclaimer overlaps the scan phase across all signaled
-		// threads.
-		ts.signalPeers(t)
-	}
-
-	// Scan our own stack and registers (line 7).
-	ts.scanThread(t)
-
-	// Wait for all ACKs (line 9) — the scan barrier.  The wait burns
-	// reclaimer cycles: the cost Figure 4 charges to oversubscription.
-	ts.obs.Begin(t, obs.StageHandshake)
-	ts.hs.Await(t)
-	ts.obs.End(t)
-
-	// Prepare whatever shards no probe touched and no scanner claimed
-	// (their nodes are unmarked by definition — nothing probed them —
-	// but the sweep still needs them sorted, deduped, and mark-sized).
-	if ts.shards.k() > 1 {
-		for i := range ts.shards.sub {
-			ts.prepareShard(t, i)
-		}
-	}
-
-	// Sweep (lines 11–15): free unmarked nodes, re-buffer marked ones.
-	// Under HelpFree, unmarked nodes are deferred to the next phase's
-	// scanners instead of being freed here — as one chunked queue when
-	// unsharded, as whole claimable per-shard lists when sharded.
-	tt := ts.perThread[t.ID()]
-	ts.obs.Begin(t, obs.StageSweep)
-	for si := range ts.shards.sub {
-		sh := &ts.shards.sub[si]
-		var deferred []uint64
-		for i, addr := range sh.buf {
-			if sh.marks[i] {
-				ts.stats.Remarked++
-				if !tt.ring.Push(addr) {
-					ts.parkOrphan(t, addr)
-				}
-				t.Charge(c.Store)
-				continue
-			}
-			if !ts.cfg.HelpFree {
-				ts.freeNode(t, addr)
-				continue
-			}
-			if ts.shards.k() == 1 {
-				ts.pendingFree = append(ts.pendingFree, addr)
-			} else {
-				deferred = append(deferred, addr)
-			}
-			t.Charge(c.Store)
-		}
-		if len(deferred) > 0 {
-			ts.pendingShards = append(ts.pendingShards, freeList{addrs: deferred, home: sh.home})
-		}
-	}
-	ts.obs.End(t)
-	// Whatever this phase's scanners did not help-free, the reclaimer
-	// finishes, bounding deferral to one phase.
-	ts.drainHelpQueue(t)
-	ts.stats.CollectCycles += t.Cycles() - start
-}
-
-// signalPeers signals every other registered thread (Algorithm 1 lines
-// 3–5).  Exited threads deregister under the lock, so everyone signaled
-// will ACK.
-func (ts *ThreadScan) signalPeers(t *simt.Thread) {
-	ts.obs.Begin(t, obs.StageSignal)
-	ts.hs.Arm()
-	threads := ts.sim.Threads()
-	for id := range ts.registered {
-		if !ts.registered[id] || id == t.ID() {
-			continue
-		}
-		if t.Signal(threads[id], ts.cfg.Signal) {
-			ts.hs.Expect(1)
-		}
-	}
-	ts.obs.End(t)
-}
-
-// prepareShard makes shard i probe-ready — sort+dedup (binary/linear)
-// or hash-set build (hash), plus the mark bitmap — charging the paper's
-// cost model to the preparing thread, which under sharding may be a
-// scanner inside its handler rather than the reclaimer.  The prepare is
-// atomic between safepoints, so a shard is claimed and prepared by
-// exactly one thread.  Reports whether this call did the work.
-func (ts *ThreadScan) prepareShard(t *simt.Thread, i int) bool {
-	return ts.prepareShardIn(t, ts.shards, ts.reclaimerID, i)
-}
-
-// prepareShardIn is prepareShard over an explicit shard group: under
-// concurrent collects each node's group prepares independently, and
-// help attribution compares against that group's own reclaimer.
-func (ts *ThreadScan) prepareShardIn(t *simt.Thread, ss *shardSet, reclaimerID, i int) bool {
-	sh := &ss.sub[i]
-	if sh.ready {
-		return false
-	}
-	if len(sh.buf) == 0 {
-		// Drop last collect's membership state: a stale hash entry (or
-		// mark slot) must not let a probe "hit" in a now-empty shard.
-		if sh.hash != nil {
-			clear(sh.hash)
-		}
-		sh.marks = sh.marks[:0]
-		sh.ready = true
-		return false
-	}
-	ts.obs.Begin(t, obs.StageSort)
-	c := ts.costs()
-	n := len(sh.buf)
-	switch ts.cfg.Lookup {
-	case LookupBinary, LookupLinear:
-		var dups int
-		sh.buf, dups = sortDedup(sh.buf)
-		t.Charge(int64(n) * int64(log2ceil(n)) * 2 * c.Step)
-		if dups > 0 {
-			ts.stats.DoubleRetires += uint64(dups)
-			t.Charge(int64(dups) * c.Step)
-		}
-	case LookupHash:
-		if sh.hash == nil {
-			sh.hash = make(map[uint64]int, n)
-		} else {
-			clear(sh.hash)
-		}
-		kept := sh.buf[:0]
-		for _, a := range sh.buf {
-			if _, dup := sh.hash[a]; dup {
-				ts.stats.DoubleRetires++
-				t.Charge(c.Step)
-				continue
-			}
-			sh.hash[a] = len(kept)
-			kept = append(kept, a)
-		}
-		sh.buf = kept
-		t.Charge(int64(n) * (c.Store + 2*c.Step))
-	}
-	if cap(sh.marks) < len(sh.buf) {
-		sh.marks = make([]bool, len(sh.buf))
-	} else {
-		sh.marks = sh.marks[:len(sh.buf)]
-		for j := range sh.marks {
-			sh.marks[j] = false
-		}
-	}
-	sh.ready = true
-	ts.stats.ShardsSorted++
-	if t.ID() != reclaimerID {
-		ts.stats.HelpSortedShards++
-	}
-	ts.obs.End(t)
-	return true
-}
 
 // countClaim records the locality of one *voluntary* help-protocol
 // claim — a helpSort prepare or a helpFree sweep-list claim — against
@@ -1049,318 +767,6 @@ func (ts *ThreadScan) noteSweep(t *simt.Thread, addr uint64) {
 func (ts *ThreadScan) flushing(t *simt.Thread) bool {
 	id := t.ID()
 	return id < len(ts.perThread) && ts.perThread[id] != nil && ts.perThread[id].inFlush
-}
-
-// drainHelpQueue frees every remaining help-queue node — the chunked
-// queue and any unclaimed per-shard lists.  Each is stolen in one step
-// (atomic between safepoints) because freeNode passes safepoints,
-// during which scanners' helpFree could otherwise pop — and double-free
-// — the same entries.
-func (ts *ThreadScan) drainHelpQueue(t *simt.Thread) {
-	if len(ts.helpQueue) == 0 && len(ts.helpShards) == 0 {
-		return
-	}
-	ts.obs.Begin(t, obs.StageFree)
-	q := ts.helpQueue
-	ts.helpQueue = nil
-	for _, addr := range q {
-		ts.freeNode(t, addr)
-	}
-	lists := ts.helpShards
-	ts.helpShards = nil
-	for _, list := range lists {
-		for _, addr := range list.addrs {
-			ts.freeNode(t, addr)
-			if ts.perNode {
-				ts.stats.NodeReclaimed[list.home]++
-			}
-		}
-	}
-	ts.obs.End(t)
-}
-
-// scanHandler is TS-Scan (Algorithm 1, lines 18–26), run in the signal
-// handler of every signaled thread.  Under the sharded pipeline the
-// handler is also where the help protocol runs: free a unit of the
-// previous phase's queue, claim an unprepared shard to sort, then scan.
-func (ts *ThreadScan) scanHandler(t *simt.Thread) {
-	if ts.overlap {
-		ts.scanHandlerOverlap(t)
-		return
-	}
-	h0 := t.HandlerCycles()
-	ts.obs.Begin(t, obs.StageScan)
-	if ts.cfg.HelpFree {
-		ts.helpFree(t)
-	}
-	if ts.shards.k() > 1 {
-		ts.helpSort(t)
-	}
-	ts.scanThread(t)
-	// ACK (line 25): a store visible to the reclaimer.
-	c := ts.costs()
-	t.Charge(c.Store + c.Fence)
-	ts.hs.Ack(t)
-	ts.obs.End(t)
-	ts.stats.HandlerCycles += t.HandlerCycles() - h0
-}
-
-// helpSort claims a fair share of the unprepared shards — K divided by
-// the number of scanning threads — and sorts them, sharing the sort
-// work the paper serializes on the reclaimer.  Probing prepares further
-// shards on demand; bounding the claim keeps one early scanner from
-// hogging the whole pipeline inside a single quantum.
-//
-// Under ClaimAffinity on a multi-node machine the share is claimed
-// local-first: shards homed on the scanner's node before remote ones,
-// so sort work lands on the socket whose threads retired the
-// addresses.  The remote pass is the work-stealing fallback — a
-// scanner with no local work left still helps, so the protocol's
-// progress guarantee is untouched; only the claim *order* changes.
-func (ts *ThreadScan) helpSort(t *simt.Thread) {
-	if ts.perNode && t.Node() != ts.collecting && ts.shards.total < ts.stealAt {
-		// Per-node collect below the steal threshold: remote scanners
-		// scan (they must — the barrier counts them) but leave the sort
-		// work to the collecting node, keeping it free of remote fills.
-		return
-	}
-	share := len(ts.shards.sub)/(ts.hs.Need()+1) + 1
-	if ts.nodes > 1 && ts.cfg.Claim == ClaimAffinity {
-		my := t.Node()
-		for pass := 0; pass < 2; pass++ {
-			local := pass == 0
-			for i := range ts.shards.sub {
-				if share == 0 {
-					return
-				}
-				sh := &ts.shards.sub[i]
-				if (sh.home == my) == local && !sh.ready && len(sh.buf) > 0 {
-					ts.prepareShard(t, i)
-					ts.countClaim(t, sh.home)
-					share--
-				}
-			}
-		}
-		return
-	}
-	for i := range ts.shards.sub {
-		if share == 0 {
-			return
-		}
-		sh := &ts.shards.sub[i]
-		if !sh.ready && len(sh.buf) > 0 {
-			ts.prepareShard(t, i)
-			ts.countClaim(t, sh.home)
-			share--
-		}
-	}
-}
-
-// helpFree frees one HelpFreeChunk-bounded unit of the previous
-// phase's unmarked nodes (§7 future work): from a claimed per-shard
-// list under the sharded pipeline, else from the chunked queue.  Safe
-// for any thread: queued nodes are already proven unreferenced.
-//
-// Under ClaimAffinity a scanner only claims sweep lists homed on its
-// own node: freeing a node touches its line (the allocator poisons
-// and relinks it), so sweeping a remote list would drag every freed
-// line across the interconnect — strictly worse than leaving the list
-// to a home-node scanner or to the reclaimer's end-of-phase drain,
-// which finishes whatever no scanner claimed, on the same phase.
-// That drain is the progress fallback; the claim policy only decides
-// who sweeps sooner, never whether the memory is reclaimed.
-func (ts *ThreadScan) helpFree(t *simt.Thread) {
-	if len(ts.helpShards) == 0 && len(ts.helpQueue) == 0 {
-		return
-	}
-	ts.obs.Begin(t, obs.StageFree)
-	defer ts.obs.End(t)
-	n := ts.cfg.HelpFreeChunk
-	// Per-node routing enforces home-gated sweeping regardless of the
-	// claim policy: StealThreshold's contract — below it, remote
-	// scanners do not claim — is part of the routing design, not of
-	// the A6 claim-order ablation, so the rr control may not bypass it
-	// (and bypassing it would also dodge the StolenSweeps accounting).
-	affinity := ts.nodes > 1 && (ts.cfg.Claim == ClaimAffinity || ts.perNode)
-	for n > 0 && len(ts.helpShards) > 0 {
-		// Claim a whole list before freeing (FreeAddr passes
-		// safepoints, and no other helper — or the reclaimer's drain —
-		// may see these entries), but cap the handler's total work at
-		// one chunk: an oversized remainder goes back for the next
-		// helper, preserving the bounded-handler-latency trade
-		// HelpFreeChunk exists for.
-		pick := len(ts.helpShards) - 1
-		stolen := false
-		if affinity {
-			my := t.Node()
-			pick = -1
-			for i := len(ts.helpShards) - 1; i >= 0; i-- {
-				if ts.helpShards[i].home == my {
-					pick = i
-					break
-				}
-			}
-			if pick < 0 {
-				if !ts.perNode || ts.deferredBacklog() < ts.stealAt {
-					break // no local list; leave remote ones to their node
-				}
-				// Per-node mode with the deferred backlog past the steal
-				// threshold: the home node is not keeping up, so sweep a
-				// remote list anyway — bounded memory beats locality.
-				pick = len(ts.helpShards) - 1
-				stolen = true
-			}
-		}
-		list := ts.helpShards[pick]
-		ts.helpShards = append(ts.helpShards[:pick], ts.helpShards[pick+1:]...)
-		if !list.claimed {
-			list.claimed = true
-			ts.countClaim(t, list.home) // once per work unit, at first claim
-			if stolen {
-				ts.stats.StolenSweeps++
-			}
-		}
-		take := n
-		if take > len(list.addrs) {
-			take = len(list.addrs)
-		}
-		for i := 0; i < take; i++ {
-			addr := list.addrs[len(list.addrs)-1]
-			list.addrs = list.addrs[:len(list.addrs)-1]
-			if ts.nodes > 1 {
-				ts.noteSweep(t, addr)
-				t.Touch(addr)
-			}
-			t.FreeAddr(addr)
-			ts.stats.HelpFreed++
-			if ts.perNode {
-				ts.stats.NodeReclaimed[list.home]++
-			}
-		}
-		n -= take
-		if len(list.addrs) > 0 {
-			ts.helpShards = append(ts.helpShards, list)
-		} else {
-			ts.stats.HelpSweptShards++
-		}
-	}
-	if n > len(ts.helpQueue) {
-		n = len(ts.helpQueue)
-	}
-	for i := 0; i < n; i++ {
-		// Pop before freeing: FreeAddr passes a safepoint, and another
-		// scanner (or the reclaimer's drain) must not see this entry.
-		addr := ts.helpQueue[len(ts.helpQueue)-1]
-		ts.helpQueue = ts.helpQueue[:len(ts.helpQueue)-1]
-		if ts.nodes > 1 {
-			ts.noteSweep(t, addr)
-			t.Touch(addr)
-		}
-		t.FreeAddr(addr)
-		ts.stats.HelpFreed++
-	}
-}
-
-// deferredBacklog is the total address count across deferred and
-// claimable per-shard sweep lists — the quantity the steal threshold
-// compares against.
-func (ts *ThreadScan) deferredBacklog() int {
-	n := 0
-	for _, list := range ts.helpShards {
-		n += len(list.addrs)
-	}
-	for _, list := range ts.pendingShards {
-		n += len(list.addrs)
-	}
-	return n
-}
-
-// scanThread scans t's registers, stack, and registered heap blocks
-// against the master buffer, marking hits.
-func (ts *ThreadScan) scanThread(t *simt.Thread) {
-	ts.stats.ScannedThreads++
-	words := 0
-	t.ScanRoots(func(w uint64) {
-		words++
-		ts.probe(t, w)
-	})
-	for _, blk := range ts.perThread[t.ID()].heapBlocks {
-		for i := uint64(0); i < blk[1]; i++ {
-			w := t.LoadAddr(blk[0] + i*8)
-			words++
-			ts.probe(t, w)
-		}
-	}
-	ts.stats.ScannedWords += uint64(words)
-}
-
-// probe masks the word's low-order bits (§4.2 "Pointer Operations"),
-// routes it to its shard, and looks it up there, marking on a hit.  If
-// the shard has not been prepared yet (sharded pipeline only), the
-// probing thread claims and prepares it on the spot — scan-side help.
-// The three lookup structures are semantically identical; they differ
-// only in cost.
-func (ts *ThreadScan) probe(t *simt.Thread, w uint64) {
-	c := ts.costs()
-	t.Charge(2 * c.Step) // mask + range check
-	//tslint:ignore tagptr scanned-word pointer masking per paper §4.2, not a ring-entry tag
-	p := w &^ 7
-	if p == 0 || !ts.sim.Heap().Contains(p) {
-		return
-	}
-	ts.probeAddr(t, ts.shards, ts.reclaimerID, p)
-}
-
-// probeAddr routes an in-heap, mask-cleaned address to its shard in ss
-// and looks it up there, marking on a hit.  Split from probe so a
-// single scan pass can probe several nodes' shard groups per word
-// (shared scan epoch under concurrent collects) while charging the
-// mask + range check only once.
-func (ts *ThreadScan) probeAddr(t *simt.Thread, ss *shardSet, reclaimerID int, p uint64) {
-	c := ts.costs()
-	si := 0
-	if ss.k() > 1 {
-		t.Charge(c.Step) // shard routing: multiply + shift
-		si = ss.route(p)
-		if !ss.sub[si].ready {
-			ts.prepareShardIn(t, ss, reclaimerID, si)
-		}
-	}
-	sh := &ss.sub[si]
-	idx := -1
-	switch ts.cfg.Lookup {
-	case LookupBinary:
-		lo, hi := 0, len(sh.buf)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			t.Charge(c.Load + c.Step)
-			if sh.buf[mid] < p {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(sh.buf) && sh.buf[lo] == p {
-			idx = lo
-		}
-	case LookupLinear:
-		for i, a := range sh.buf {
-			t.Charge(c.Load)
-			if a == p {
-				idx = i
-				break
-			}
-		}
-	case LookupHash:
-		t.Charge(c.Load + 3*c.Step)
-		if i, ok := sh.hash[p]; ok {
-			idx = i
-		}
-	}
-	if idx >= 0 && !sh.marks[idx] {
-		sh.marks[idx] = true
-		t.Charge(c.Store)
-	}
 }
 
 // log2ceil returns ceil(log2(n)) for n >= 1.

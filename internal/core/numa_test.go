@@ -67,8 +67,8 @@ func TestChurnedThreadsInheritHomeAndVote(t *testing.T) {
 	// Every non-empty shard of the last collect was fed exclusively by
 	// node-1 threads, so home election must put each on node 1.
 	nonEmpty := 0
-	for i := range ts.shards.sub {
-		sh := &ts.shards.sub[i]
+	for i := range ts.slots[0].shards.sub {
+		sh := &ts.slots[0].shards.sub[i]
 		if len(sh.buf) == 0 && sh.votes[0] == 0 && sh.votes[1] == 0 {
 			continue
 		}

@@ -1,23 +1,21 @@
 package core
 
-import (
-	"threadscan/internal/obs"
-	"threadscan/internal/simt"
-)
+import "threadscan/internal/simt"
 
-// Per-node retirement routing and node-local reclaimers (Config.PerNode).
+// Per-node retirement routing (Config.PerNode).
 //
-// The classic collect hashes every retired address into globally shared
+// The classic slot hashes every retired address into globally shared
 // shards and elects a single reclaimer, so on a multi-node machine a
 // shard's member addresses span sockets even when its home is clear,
 // and the whole collect serializes on whichever socket the reclaimer
 // happens to run — the cross-socket bottleneck the paper's scalability
 // argument (and Hyaline's per-thread batch locality argument) warns
-// about.  Per-node mode restructures the pipeline around the topology:
+// about.  Routing restructures retirement around the topology, and
+// feeds one collect slot per node (slot.go):
 //
 //   - Free tags each retired address with the retiring thread's NUMA
 //     node in the ring entry's low three bits (word-aligned addresses
-//     leave them free; maxRoutedNodes bounds the node count).  The tag
+//     leave them free; MaxRoutedNodes bounds the node count).  The tag
 //     is taken at Free time, so an unpinned thread that migrates
 //     attributes each retire exactly.
 //   - A full ring is drained by its *owner* — ring → home-node
@@ -26,17 +24,8 @@ import (
 //     path.  nodeBuf[n] therefore holds only node-n-retired addresses:
 //     every shard built from it is single-node *by construction*, and
 //     its sweep touches zero remote lines.
-//   - Each node runs its own collects: the thread whose drain pushes
-//     its node's sub-buffer past the trigger becomes that node's
-//     reclaimer and collects over that node's shard group only.  The
-//     scan barrier handshake (simt.Handshake) is the sole cross-node
-//     synchronization — every thread still scans, because any thread
-//     on any node may hold a reference to any address.
-//   - Rebalancing under one-node-retires-everything skew: below
-//     Config.StealThreshold all sort and sweep work stays node-local;
-//     above it remote threads collect for the overloaded node
-//     (StolenCollects), help-sort its shards, and sweep its deferred
-//     lists (StolenSweeps) — bounded memory beats perfect locality.
+//   - The thread whose drain pushes its node's sub-buffer past the
+//     trigger becomes that node's reclaimer (maybeCollect).
 //
 // With PerNode off (or on a flat machine) none of this code runs and
 // the protocol is bit-identical to the classic pipeline — the contract
@@ -61,14 +50,14 @@ func (ts *ThreadScan) freeRouted(t *simt.Thread, tt *tsThread, addr uint64) {
 	// empty, so it cannot fail.
 	ts.routeRing(t, tt)
 	tt.ring.Push(tag)
-	ts.maybeCollectRouted(t)
+	ts.maybeCollect(t)
 }
 
 // routeRing drains tt's ring into the per-node sub-buffers by tag,
 // charging the staging copy (one load + one store per entry).  The
 // whole routine runs between safepoints, so it is atomic with respect
 // to the simulation and needs no lock.
-func (ts *ThreadScan) routeRing(t *simt.Thread, tt *tsThread) int {
+func (ts *ThreadScan) routeRing(t *simt.Thread, tt *tsThread) {
 	var n int
 	ts.scratch, n = tt.ring.Drain(ts.scratch[:0])
 	for _, v := range ts.scratch {
@@ -77,7 +66,6 @@ func (ts *ThreadScan) routeRing(t *simt.Thread, tt *tsThread) int {
 	}
 	c := ts.costs()
 	t.Charge(int64(n) * (c.Load + c.Store))
-	return n
 }
 
 // routeAllRings routes every registered thread's ring (teardown and
@@ -89,189 +77,5 @@ func (ts *ThreadScan) routeAllRings(t *simt.Thread) {
 			continue
 		}
 		ts.routeRing(t, tt)
-	}
-}
-
-// maybeCollectRouted checks the collect triggers after a routing drain:
-// the drainer's own node first (the common case — the thread that
-// pushed its node's sub-buffer over the trigger is, by construction of
-// the routing, a thread of that node), then any *remote* node whose
-// backlog passed the steal threshold.  A remote node gets that far only
-// when its own threads are not collecting — retirers that migrated
-// away, or exited threads' routed buffers — and unbounded growth there
-// is worse than a stolen, remote collect.
-func (ts *ThreadScan) maybeCollectRouted(t *simt.Thread) {
-	if ts.overlap {
-		ts.maybeCollectOverlap(t)
-		return
-	}
-	my := t.Node()
-	if len(ts.nodeBuf[my]) >= ts.nodeTrigger[my] {
-		ts.lock.Lock(t)
-		if len(ts.nodeBuf[my]) >= ts.nodeTrigger[my] {
-			if ts.cfg.CollectWatermark > 0 {
-				ts.stats.WatermarkCollects++
-				ts.obs.Instant(t, obs.KindWatermark)
-			} else {
-				ts.obs.Instant(t, obs.KindTrigger)
-			}
-			ts.collectNode(t, my)
-		} else {
-			// Another reclaimer collected while we waited (§4.2).
-			ts.stats.AvoidedCollects++
-		}
-		ts.lock.Unlock(t)
-	}
-	for n := 0; n < ts.nodes; n++ {
-		if n == my || len(ts.nodeBuf[n]) < ts.stealAt {
-			continue
-		}
-		ts.lock.Lock(t)
-		if len(ts.nodeBuf[n]) >= ts.stealAt {
-			ts.stats.StolenCollects++
-			ts.obs.Instant(t, obs.KindSteal)
-			ts.collectNode(t, n)
-		} else {
-			ts.stats.AvoidedCollects++
-		}
-		ts.lock.Unlock(t)
-	}
-}
-
-// collectNode is the per-node TS-Collect: one phase over node's shard
-// group only.  Aggregation reads just that node's sub-buffer (plus its
-// re-buffered marked nodes), every shard is homed on the node without
-// an election, and the sweep — local by construction — re-buffers
-// marked nodes into the node's remark list so pinned garbage cannot
-// re-arm the trigger.  Caller holds the reclamation lock.
-func (ts *ThreadScan) collectNode(t *simt.Thread, node int) {
-	c := ts.costs()
-	start := t.Cycles()
-	ts.stats.Collects++
-	ts.stats.NodeCollects[node]++
-	ts.reclaimerID = t.ID()
-	ts.collecting = node
-	ts.obs.Begin(t, obs.StageCollect)
-	defer ts.obs.End(t)
-
-	// The previous phase's deferred per-shard sweep lists become
-	// claimable by this phase's scanners (each list keeps the home of
-	// the node that deferred it — not necessarily this one).
-	ts.helpShards = append(ts.helpShards, ts.pendingShards...)
-	ts.pendingShards = ts.pendingShards[:0]
-
-	// Aggregate the node's sub-buffer into the shard group.  Single
-	// node by construction: no votes, no election.
-	ts.shards.reset()
-	n := len(ts.nodeBuf[node]) + len(ts.nodeRemark[node])
-	for _, a := range ts.nodeBuf[node] {
-		ts.shards.add(a, node)
-	}
-	for _, a := range ts.nodeRemark[node] {
-		ts.shards.add(a, node)
-	}
-	// Truncate before charging: aggregate-and-truncate must be one
-	// atomic step with respect to routeRing's lock-free appends, and
-	// that property should not hinge on Charge never passing a
-	// safepoint.
-	ts.nodeBuf[node] = ts.nodeBuf[node][:0]
-	ts.nodeRemark[node] = ts.nodeRemark[node][:0]
-	t.Charge(int64(n) * (c.Load + c.Step))
-	ts.shards.setHomes(node)
-
-	if ts.shards.total == 0 {
-		// Nothing new on this node, but deferred sweep work must still
-		// move (teardown reaches here with empty sub-buffers).
-		ts.drainNodeLists(t)
-		ts.collecting = -1
-		ts.stats.CollectCycles += t.Cycles() - start
-		return
-	}
-	if ts.shards.total > ts.stats.MaxMaster {
-		ts.stats.MaxMaster = ts.shards.total
-	}
-
-	// Same pipeline orders as the classic collect: serial sort-then-
-	// signal at K = 1, signal-first with lazy sorting otherwise.
-	if ts.shards.k() == 1 {
-		ts.prepareShard(t, 0)
-		ts.signalPeers(t)
-	} else {
-		ts.signalPeers(t)
-	}
-	ts.scanThread(t)
-
-	// The scan barrier — the only cross-node handshake of the phase.
-	ts.obs.Begin(t, obs.StageHandshake)
-	ts.hs.Await(t)
-	ts.obs.End(t)
-
-	if ts.shards.k() > 1 {
-		for i := range ts.shards.sub {
-			ts.prepareShard(t, i)
-		}
-	}
-
-	// Sweep.  Every line here is homed on node (routing put it there),
-	// so a reclaimer of that node frees without a single remote fill.
-	ts.obs.Begin(t, obs.StageSweep)
-	for si := range ts.shards.sub {
-		sh := &ts.shards.sub[si]
-		var deferred []uint64
-		for i, addr := range sh.buf {
-			if sh.marks[i] {
-				ts.stats.Remarked++
-				ts.nodeRemark[node] = append(ts.nodeRemark[node], addr)
-				t.Charge(c.Store)
-				continue
-			}
-			if !ts.cfg.HelpFree {
-				ts.freeNode(t, addr)
-				ts.stats.NodeReclaimed[node]++
-				continue
-			}
-			deferred = append(deferred, addr)
-			t.Charge(c.Store)
-		}
-		if len(deferred) > 0 {
-			ts.pendingShards = append(ts.pendingShards, freeList{addrs: deferred, home: node})
-		}
-	}
-	ts.obs.End(t)
-	ts.drainNodeLists(t)
-	ts.collecting = -1
-	ts.stats.CollectCycles += t.Cycles() - start
-}
-
-// drainNodeLists is the per-node end-of-phase mop-up: the reclaimer
-// finishes sweep lists homed on its *own* node (local frees), and
-// re-defers remote-homed lists for their home node's scanners — unless
-// the deferred backlog has passed the steal threshold, in which case
-// it drains them too, so deferral stays bounded even when a node has
-// no thread left to sweep for it.
-func (ts *ThreadScan) drainNodeLists(t *simt.Thread) {
-	if len(ts.helpShards) == 0 {
-		return
-	}
-	overloaded := ts.deferredBacklog() >= ts.stealAt || ts.flushing(t)
-	lists := ts.helpShards
-	ts.helpShards = nil
-	ts.obs.Begin(t, obs.StageFree)
-	defer ts.obs.End(t)
-	my := t.Node()
-	for _, list := range lists {
-		if list.home != my && !overloaded {
-			ts.pendingShards = append(ts.pendingShards, list)
-			continue
-		}
-		if list.home != my && !ts.flushing(t) {
-			// Teardown drains are by-design cross-node; only count a
-			// steal when the threshold forced one mid-run.
-			ts.stats.StolenSweeps++
-		}
-		for _, addr := range list.addrs {
-			ts.freeNode(t, addr)
-			ts.stats.NodeReclaimed[list.home]++
-		}
 	}
 }

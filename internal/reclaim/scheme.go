@@ -153,8 +153,11 @@ type Stats struct {
 	StolenSweeps     uint64
 
 	// OverlappedCollects counts collect phases that began while another
-	// node's collect was already in flight — nonzero only with PerNode
-	// concurrent collects (SerializeCollects off).
+	// collect slot's phase was already in flight.  Only the overlapped
+	// slot layout (PerNode, SerializeCollects off: one slot per node,
+	// each with its own lock) admits that; the classic layout has one
+	// slot and the serialized layout admits every slot through one lock,
+	// so both always report zero.
 	OverlappedCollects uint64
 
 	// Allocation-subsystem counters (machine-wide, mirrored from the
