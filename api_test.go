@@ -163,17 +163,20 @@ func TestSkipListViaFacade(t *testing.T) {
 }
 
 func TestExperimentFacade(t *testing.T) {
-	r, err := threadscan.RunExperiment(threadscan.Experiment{
-		DS: "hash", Scheme: "threadscan", Threads: 2, Cores: 2,
-		Duration: 1_000_000, Seed: 1,
-		KeyRange: 256, Prefill: 128, Buckets: 8,
-		BufferSize: 64, Batch: 64,
-	})
+	s := threadscan.PaperScenario("hash", threadscan.SweepParams{
+		Scale: threadscan.ScaleQuick, Duration: 1_000_000, Seed: 1})
+	s.Scheme, s.Threads, s.Cores = "threadscan", 2, 2
+	s.KeyRange, s.Prefill, s.Buckets = 256, 128, 8
+	s.BufferSize, s.Batch = 64, 64
+	r, err := threadscan.RunScenario(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Ops == 0 || r.FinalSize == 0 {
 		t.Fatalf("empty experiment result: %+v", r)
+	}
+	if r.Name != "paper-uniform" || r.DS != "hash" || r.Threads != 2 {
+		t.Fatalf("paper scenario identity: %s %s/%s t=%d", r.Name, r.DS, r.Scheme, r.Threads)
 	}
 }
 

@@ -17,14 +17,14 @@ import (
 	"threadscan"
 )
 
-// benchPoint runs one experiment per iteration and reports the mean
+// benchPoint runs one scenario per iteration and reports the mean
 // virtual throughput.
-func benchPoint(b *testing.B, cfg threadscan.Experiment) {
+func benchPoint(b *testing.B, s threadscan.Scenario) {
 	b.Helper()
 	var total float64
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		r, err := threadscan.RunExperiment(cfg)
+		s.Seed = int64(i + 1)
+		r, err := threadscan.RunScenario(s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -34,26 +34,16 @@ func benchPoint(b *testing.B, cfg threadscan.Experiment) {
 	b.ReportMetric(0, "ns/op") // host time is not a result; silence it
 }
 
-// fig3Point builds a quick-scale Figure 3 data point.
-func fig3Point(dsName, scheme string, threads int) threadscan.Experiment {
-	cfg := threadscan.Experiment{
-		DS: dsName, Scheme: scheme, Threads: threads, Cores: 4,
-		Duration: 10_000_000, // 10 virtual ms per iteration
-		Quantum:  125_000,    // timeslice scaled with the buffers (see harness)
+// fig3Point builds a quick-scale Figure 3 data point on 4 cores:
+// the paper scenario, 10 virtual ms per iteration.
+func fig3Point(dsName, scheme string, threads int) threadscan.Scenario {
+	s := threadscan.PaperScenario(dsName, threadscan.SweepParams{
+		Scale:    threadscan.ScaleQuick,
+		Duration: 10_000_000,
 		CacheSim: true,
-		Seed:     1,
-		// Quick-scale §6 workloads (see harness.baseConfig).
-		BufferSize: 128, Batch: 128, SlowDelay: 8_000_000,
-	}
-	switch dsName {
-	case "list":
-		cfg.KeyRange, cfg.Prefill = 2048, 1024
-	case "hash":
-		cfg.KeyRange, cfg.Prefill, cfg.Buckets = 16_384, 8_192, 256
-	case "skiplist":
-		cfg.KeyRange, cfg.Prefill = 16_000, 8_000
-	}
-	return cfg
+	})
+	s.Scheme, s.Threads, s.Cores = scheme, threads, 4
+	return s
 }
 
 // benchFig3 runs one Figure 3 panel: every §6 scheme at 4 threads on 4
@@ -119,18 +109,10 @@ func BenchmarkAblationBufferSize(b *testing.B) {
 // BenchmarkAblationLookup is A3: the TS-Scan membership structure
 // (paper's sorted binary search vs linear vs hash set).
 func BenchmarkAblationLookup(b *testing.B) {
-	kinds := []struct {
-		name string
-		kind threadscan.LookupKind
-	}{
-		{"binary", threadscan.LookupBinary},
-		{"linear", threadscan.LookupLinear},
-		{"hash", threadscan.LookupHash},
-	}
-	for _, k := range kinds {
-		b.Run(k.name, func(b *testing.B) {
+	for _, kind := range []string{"binary", "linear", "hash"} {
+		b.Run(kind, func(b *testing.B) {
 			cfg := fig3Point("list", "threadscan", 4)
-			cfg.Lookup = k.kind
+			cfg.Lookup = kind
 			cfg.BufferSize = 64 // keep linear mode tractable
 			benchPoint(b, cfg)
 		})
@@ -171,7 +153,7 @@ func BenchmarkAblationStall(b *testing.B) {
 // nodes, single thread, per-collect virtual cost.
 func BenchmarkCollect(b *testing.B) {
 	cfg := fig3Point("list", "threadscan", 1)
-	cfg.Duration = 5_000_000
+	cfg.Phases[0].Duration = 5_000_000
 	benchPoint(b, cfg)
 }
 
@@ -181,6 +163,6 @@ func BenchmarkSignalStorm(b *testing.B) {
 	cfg := fig3Point("list", "threadscan", 32)
 	cfg.Cores = 2
 	cfg.BufferSize = 64
-	cfg.Duration = 5_000_000
+	cfg.Phases[0].Duration = 5_000_000
 	benchPoint(b, cfg)
 }

@@ -81,23 +81,12 @@ func runHarnessBench(args []string) {
 		}
 		return nil
 	})
-	ablations := []struct {
-		name string
-		run  func() error
-	}{
-		{"ablation-buffer", func() error { _, err := harness.AblationBuffer(nil, params, 0); return err }},
-		{"ablation-lookup", func() error { _, err := harness.AblationLookup(params, 0); return err }},
-		{"ablation-scancost", func() error { _, err := harness.AblationScanCost(params, true); return err }},
-		{"ablation-stall", func() error { _, err := harness.AblationStall(params, 0, 0, 0); return err }},
-		{"ablation-shards", func() error { _, err := harness.AblationShards("", nil, params); return err }},
-		{"ablation-numa", func() error { _, err := harness.AblationNUMA(nil, params); return err }},
-		{"ablation-pernode", func() error { _, err := harness.AblationPerNode(nil, params); return err }},
-		{"ablation-allocpool", func() error { _, err := harness.AblationAllocPool(nil, params); return err }},
-		{"ablation-overlap", func() error { _, err := harness.AblationOverlap(nil, nil, params); return err }},
-		{"ablation-robust", func() error { _, err := harness.AblationRobust("", nil, params); return err }},
-	}
-	for _, a := range ablations {
-		timed(a.name, a.run)
+	for i := range harness.Ablations {
+		a := &harness.Ablations[i]
+		timed("ablation-"+a.Name, func() error {
+			_, err := a.Run(harness.AblationParams{SweepParams: params})
+			return err
+		})
 	}
 	timed("metrics", func() error {
 		spec, ok := workload.ByName("per-node-reclaim")

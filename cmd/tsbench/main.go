@@ -57,8 +57,8 @@ func main() {
 	}
 	var (
 		figNum   = flag.Int("fig", 0, "figure to reproduce: 3 or 4")
-		ablation = flag.String("ablation", "", "ablation to run: buffer | lookup | scancost | stall | shards | numa | pernode | allocpool | overlap | robust")
-		single   = flag.Bool("single", false, "run a single experiment and dump its stats")
+		ablation = flag.String("ablation", "", "ablation to run: "+strings.Join(harness.AblationNames(), " | "))
+		single   = flag.Bool("single", false, "run the paper scenario once and dump its stats")
 		dsName   = flag.String("ds", "all", "data structure: list | hash | skiplist | all")
 		scheme   = flag.String("scheme", "threadscan", "scheme for -single")
 		scale    = flag.String("scale", "quick", "workload scale: quick | paper")
@@ -69,9 +69,9 @@ func main() {
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		cacheSim = flag.Bool("cache", true, "enable the per-core cache model")
 		csvPath  = flag.String("csv", "", "also write figure results as CSV to this file")
-		buffer   = flag.Int("buffer", 0, "per-thread delete buffer for -single (0 = 1024)")
-		batch    = flag.Int("batch", 0, "reclaim batch for -single (0 = 1024)")
-		ablScen  = flag.String("ablation-scenario", "", "scenario(s) for -ablation shards/numa/pernode/allocpool/overlap/robust (comma-separated except shards and robust)")
+		buffer   = flag.Int("buffer", 0, "per-thread delete buffer for -single (0 = the scale's default)")
+		batch    = flag.Int("batch", 0, "reclaim batch for -single (0 = the scale's default)")
+		ablScen  = flag.String("ablation-scenario", "", "comma-separated subject scenario(s) for -ablation shards/numa/pernode/allocpool/overlap/robust")
 		shardKs  = flag.String("shard-counts", "", "comma-separated K values for -ablation shards (default 1,2,4,8,16)")
 		trace    = flag.String("trace", "", "tracing is a scenarios feature; see: tsbench scenarios -trace out.json")
 	)
@@ -108,11 +108,13 @@ func main() {
 	case *single:
 		runSingle(*dsName, *scheme, *threads, params, *buffer, *batch)
 	case *ablation != "":
-		var ks []int
-		if *shardKs != "" {
-			ks = parseInts(*shardKs, "shard count")
+		ap := harness.AblationParams{SweepParams: params, Scenarios: splitScenarios(*ablScen)}
+		if *shardKs != "" && *ablation == "shards" {
+			for _, k := range parseInts(*shardKs, "shard count") {
+				ap.Values = append(ap.Values, int64(k))
+			}
 		}
-		runAblation(*ablation, params, *ablScen, ks)
+		runAblation(*ablation, ap)
 	case *figNum == 3 || *figNum == 4:
 		runFigure(*figNum, *dsName, params, *csvPath)
 	default:
@@ -221,117 +223,46 @@ func runFigure(fig int, dsArg string, params harness.SweepParams, csvPath string
 	}
 }
 
-func runAblation(kind string, params harness.SweepParams, ablScenario string, shardKs []int) {
-	switch kind {
-	case "buffer":
-		rows, err := harness.AblationBuffer(nil, params, 0)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WriteBufferTable(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	case "lookup":
-		rows, err := harness.AblationLookup(params, 0)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WriteLookupTable(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	case "scancost":
-		for _, helpFree := range []bool{false, true} {
-			rows, err := harness.AblationScanCost(params, helpFree)
-			if err != nil {
-				fatal(err)
-			}
-			if err := harness.WriteScanCostTable(os.Stdout, rows, helpFree); err != nil {
-				fatal(err)
-			}
-			fmt.Println()
-		}
-	case "stall":
-		rows, err := harness.AblationStall(params, 0, 0, 0)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WriteStallTable(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	case "shards":
-		rows, err := harness.AblationShards(ablScenario, shardKs, params)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WriteShardTable(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	case "numa":
-		rows, err := harness.AblationNUMA(splitScenarios(ablScenario), params)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WriteNUMATable(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	case "pernode":
-		rows, err := harness.AblationPerNode(splitScenarios(ablScenario), params)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WritePerNodeTable(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	case "allocpool":
-		rows, err := harness.AblationAllocPool(splitScenarios(ablScenario), params)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WriteAllocPoolTable(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	case "overlap":
-		rows, err := harness.AblationOverlap(splitScenarios(ablScenario), nil, params)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WriteOverlapTable(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	case "robust":
-		rows, err := harness.AblationRobust(ablScenario, nil, params)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WriteRobustTable(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	default:
-		fatal(fmt.Errorf("unknown ablation %q", kind))
+func runAblation(kind string, params harness.AblationParams) {
+	a, ok := harness.AblationByName(kind)
+	if !ok {
+		fatal(fmt.Errorf("unknown ablation %q (known: %s)", kind, strings.Join(harness.AblationNames(), ", ")))
+	}
+	rows, err := a.Run(params)
+	if err != nil {
+		fatal(err)
+	}
+	if err := harness.WriteAblationTable(os.Stdout, a, rows); err != nil {
+		fatal(err)
 	}
 }
 
+// runSingle runs the paper scenario once per structure and dumps its
+// stats.
 func runSingle(dsArg, scheme, threadsArg string, params harness.SweepParams, buffer, batch int) {
 	n := 4
 	if threadsArg != "" {
 		n = parseInts(threadsArg, "thread count")[0]
 	}
 	for _, name := range dsNames(dsArg) {
-		cfg := harness.Config{
-			DS: name, Scheme: scheme, Threads: n, Cores: params.Cores,
-			Duration: params.Duration, Seed: params.Seed, CacheSim: params.CacheSim,
-			Quantum: params.Quantum, BufferSize: buffer, Batch: batch,
+		spec := harness.PaperScenario(name, params)
+		spec.Scheme, spec.Threads, spec.Cores = scheme, n, params.Cores
+		if buffer > 0 {
+			spec.BufferSize = buffer
 		}
-		r, err := harness.Run(cfg)
+		if batch > 0 {
+			spec.Batch = batch
+		}
+		r, err := harness.RunScenario(spec)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("%s/%s threads=%d cores=%d\n", name, scheme, n, r.Config.Cores)
+		fmt.Printf("%s/%s threads=%d cores=%d\n", name, scheme, n, r.Cores)
 		fmt.Printf("  ops            %d\n", r.Ops)
 		fmt.Printf("  elapsed        %.3f virtual ms (wall %v)\n", r.VirtualSeconds*1e3, r.WallTime)
 		fmt.Printf("  throughput     %.0f ops/vsec\n", r.Throughput)
 		fmt.Printf("  final size     %d\n", r.FinalSize)
-		fmt.Printf("  scheme stats   %+v\n", r.Scheme)
+		fmt.Printf("  scheme stats   %+v\n", r.SchemeStats)
 		if r.Core != nil {
 			fmt.Printf("  threadscan     %+v\n", *r.Core)
 		}

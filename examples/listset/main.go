@@ -2,7 +2,8 @@
 //
 // Runs the 1024-node Harris list workload (20% updates, §6) under every
 // reclamation technique the paper evaluates and prints a comparison
-// table.  Expect: ThreadScan ≈ Epoch ≈ Leaky; Hazard several times
+// table.  Every run is on the checked heap, so an unsound free would
+// abort it.  Expect: ThreadScan ≈ Epoch ≈ Leaky; Hazard several times
 // slower (a fence per traversal step on a 512-step average traversal);
 // Slow Epoch degraded by its errant thread; StackTrack in between.
 //
@@ -25,18 +26,15 @@ func main() {
 	fmt.Fprintln(tw, "scheme\tthroughput(vops/s)\tvs leaky\tretired\tfreed")
 	var leakyTp float64
 	for _, scheme := range schemes {
-		r, err := threadscan.RunExperiment(threadscan.Experiment{
-			DS:       "list",
-			Scheme:   scheme,
-			Threads:  4,
-			Cores:    4,
-			Duration: 20_000_000, // 20 virtual ms
+		s := threadscan.PaperScenario("list", threadscan.SweepParams{
+			Scale:    threadscan.ScaleQuick, // the paper's list; 128-entry buffers
+			Duration: 20_000_000,            // 20 virtual ms
 			Seed:     42,
 			CacheSim: true,
-			KeyRange: 2048, Prefill: 1024, // the paper's list workload
-			BufferSize: 128, Batch: 128,
-			SlowDelay: 2_000_000,
 		})
+		s.Scheme, s.Threads, s.Cores = scheme, 4, 4
+		s.SlowDelay = 2_000_000
+		r, err := threadscan.RunScenario(s)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -44,7 +42,7 @@ func main() {
 			leakyTp = r.Throughput
 		}
 		fmt.Fprintf(tw, "%s\t%.0f\t%.2fx\t%d\t%d\n",
-			scheme, r.Throughput, r.Throughput/leakyTp, r.Scheme.Retired, r.Scheme.Freed)
+			scheme, r.Throughput, r.Throughput/leakyTp, r.SchemeStats.Retired, r.SchemeStats.Freed)
 	}
 	if err := tw.Flush(); err != nil {
 		log.Fatal(err)

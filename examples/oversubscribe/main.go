@@ -20,19 +20,17 @@ import (
 	"threadscan"
 )
 
-func run(threads, buffer int) threadscan.Result {
-	r, err := threadscan.RunExperiment(threadscan.Experiment{
-		DS:       "hash",
-		Scheme:   "threadscan",
-		Threads:  threads,
-		Cores:    4,
-		Duration: 30_000_000, // 30 virtual ms
-		Quantum:  1_000_000,  // OS-like 1ms timeslice
+func run(threads, buffer int) threadscan.ScenarioResult {
+	s := threadscan.PaperScenario("hash", threadscan.SweepParams{
+		Scale:    threadscan.ScaleQuick, // 16k-key table, 256 buckets
+		Duration: 30_000_000,            // 30 virtual ms
+		Quantum:  1_000_000,             // OS-like 1ms timeslice
 		Seed:     7,
 		CacheSim: true,
-		KeyRange: 16_384, Prefill: 8_192, Buckets: 256,
-		BufferSize: buffer,
 	})
+	s.Scheme, s.Threads, s.Cores = "threadscan", threads, 4
+	s.BufferSize = buffer
+	r, err := threadscan.RunScenario(s)
 	if err != nil {
 		log.Fatal(err)
 	}

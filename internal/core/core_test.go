@@ -482,7 +482,7 @@ func TestFlushDrainsHelpQueueWithEmptyRings(t *testing.T) {
 	ts := New(s, Config{BufferSize: 8, HelpFree: true})
 	s.Spawn("worker", func(th *simt.Thread) {
 		churn(ts, th, 8)
-		ts.Collect(th) // defers all 8 to pendingFree; rings now empty
+		ts.Collect(th) // defers all 8 to the classic slot's pending free list; rings now empty
 		if left := ts.FlushAll(th); left != 0 {
 			t.Errorf("FlushAll left %d help-queued nodes", left)
 		}

@@ -154,7 +154,8 @@ func TestAblationAllocPoolRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("A8 sweep skipped in -short")
 	}
-	rows, err := AblationAllocPool([]string{"numa-split"}, SweepParams{Duration: 12_500_000})
+	rows, err := ablation(t, "allocpool").Run(AblationParams{
+		SweepParams: SweepParams{Duration: 12_500_000}, Scenarios: []string{"numa-split"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestAblationAllocPoolRuns(t *testing.T) {
 	}
 	for _, row := range rows {
 		if row.Result.Ops == 0 {
-			t.Errorf("%s/%s/%s ran no ops", row.Scenario, row.Policy, row.Routing)
+			t.Errorf("%v ran no ops", row.Labels)
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"text/tabwriter"
+
+	"threadscan/internal/workload"
 )
 
 // Scale selects workload sizes: Quick keeps simulations laptop-fast
@@ -31,73 +33,91 @@ type SweepParams struct {
 	CacheSim     bool
 }
 
-// baseConfig returns the per-structure workload of §6 at the chosen
-// scale.  Reclamation batch sizes follow the measurement window: the
-// paper's 1024-pointer buffers amortize over 10-second runs; quick runs
+// PaperScenario returns the paper's §6 workload for one structure at
+// the chosen scale: uniform keys, 20% updates (half inserts, half
+// removes), one measured phase of p.Duration cycles (0 = 20 virtual
+// ms), the structure prefilled to half its key range.  Of p, Seed,
+// Quantum and CacheSim apply too; Cores and ThreadCounts do not — set
+// Scheme, Threads and Cores on the result.
+//
+// Reclamation batch sizes follow the measurement window: the paper's
+// 1024-pointer buffers amortize over 10-second runs; quick runs
 // measure tens of virtual milliseconds, so buffers scale to 128 (and
-// the errant delay to 4ms) to keep the same reclamations-per-run ratio.
-func baseConfig(dsName string, p SweepParams) Config {
-	cfg := Config{DS: dsName, Duration: p.Duration, Seed: p.Seed,
-		CacheSim: p.CacheSim, Quantum: p.Quantum}
-	if cfg.Quantum == 0 {
+// the errant delay to 8ms) to keep the same reclamations-per-run ratio.
+func PaperScenario(dsName string, p SweepParams) workload.Scenario {
+	duration := p.Duration
+	if duration <= 0 {
+		duration = 20_000_000 // 20 virtual ms
+	}
+	s := workload.Scenario{
+		Name:     "paper-uniform",
+		Desc:     "the paper's §6 workload: uniform keys, 20% updates, one phase",
+		DS:       dsName,
+		Seed:     p.Seed,
+		CacheSim: p.CacheSim,
+		Quantum:  p.Quantum,
+		Phases: []workload.Phase{{Name: "steady", Duration: duration,
+			Mix: workload.Mix{InsertPct: 10, RemovePct: 10}}},
+	}
+	if s.Quantum == 0 {
 		// The timeslice sets the signal-response rotation under
 		// oversubscription ((threads/cores) x quantum) and must keep
 		// the paper's ratio of collect cost to inter-collect interval.
 		// Paper scale: 1ms (Linux-like) against 1024-deep buffers.
 		// Quick scale: buffers shrink 8x, so the quantum does too.
 		if p.Scale == ScalePaper {
-			cfg.Quantum = 1_000_000
+			s.Quantum = 1_000_000
 		} else {
-			cfg.Quantum = 125_000
+			s.Quantum = 125_000
 		}
 	}
 	if p.Scale == ScalePaper {
-		cfg.BufferSize = 1024
-		cfg.Batch = 1024
-		cfg.SlowDelay = 40_000_000 // the paper's 40ms
+		s.BufferSize = 1024
+		s.Batch = 1024
+		s.SlowDelay = 40_000_000 // the paper's 40ms
 	} else {
 		// Scaled so that (a) several reclamation phases happen per
 		// measured window, as in the paper's 10s runs, and (b) the
 		// buffer stays well above the stale-register pinning floor
 		// (~15 re-marked nodes per thread) so marked nodes do not
 		// dominate the delete buffers.
-		cfg.BufferSize = 128
-		cfg.Batch = 128
+		s.BufferSize = 128
+		s.Batch = 128
 		// The errant delay must exceed a reclaimer's inter-cleanup
 		// interval (~5ms of thread time at these op rates) to show the
 		// paper's collapse; 8ms keeps the paper's delay:batch ratio.
-		cfg.SlowDelay = 8_000_000
+		s.SlowDelay = 8_000_000
 	}
 	switch dsName {
 	case "list":
 		// "Linked lists were 1024 nodes long, and the range of values
 		// was 2048" — small enough to use verbatim at every scale.
-		cfg.KeyRange = 2048
-		cfg.Prefill = 1024
+		s.KeyRange = 2048
+		s.Prefill = 1024
 	case "hash":
 		if p.Scale == ScalePaper {
 			// "Hash tables contained 131,072 nodes with a range of
 			// 262,144.  The expected bucket size was 32 nodes."
-			cfg.KeyRange = 262_144
-			cfg.Prefill = 131_072
-			cfg.Buckets = 4096
+			s.KeyRange = 262_144
+			s.Prefill = 131_072
+			s.Buckets = 4096
 		} else {
-			cfg.KeyRange = 16_384
-			cfg.Prefill = 8_192
-			cfg.Buckets = 256
+			s.KeyRange = 16_384
+			s.Prefill = 8_192
+			s.Buckets = 256
 		}
 	case "skiplist":
 		if p.Scale == ScalePaper {
 			// "Skip lists contained 128,000 nodes with a range of
 			// values of 256,000."
-			cfg.KeyRange = 256_000
-			cfg.Prefill = 128_000
+			s.KeyRange = 256_000
+			s.Prefill = 128_000
 		} else {
-			cfg.KeyRange = 16_000
-			cfg.Prefill = 8_000
+			s.KeyRange = 16_000
+			s.Prefill = 8_000
 		}
 	}
-	return cfg
+	return s
 }
 
 func (p *SweepParams) fill(fig int) {
@@ -126,7 +146,7 @@ func (p *SweepParams) fill(fig int) {
 // Series is one scheme's curve across thread counts.
 type Series struct {
 	Name    string
-	Results []Result
+	Results []ScenarioResult
 }
 
 // Figure is a reproduced figure panel: throughput-vs-threads curves for
@@ -138,22 +158,30 @@ type Figure struct {
 	Series       []Series
 }
 
-// runSweep produces one panel for the named schemes.  The variant hook
-// may adjust each point's Config (e.g. the tuned 4096 buffer).
+// paperPoint is one figure or ablation point: PaperScenario for dsName
+// under scheme with threads workers on p.Cores cores.
+func paperPoint(dsName, scheme string, p SweepParams, threads int) workload.Scenario {
+	spec := PaperScenario(dsName, p)
+	spec.Scheme = scheme
+	spec.Threads = threads
+	spec.Cores = p.Cores
+	return spec
+}
+
+// runSweep produces one panel for the named schemes: PaperScenario at
+// every thread count.  The variant hook may adjust each point's
+// scenario (e.g. the tuned 4096 buffer).
 func runSweep(title, dsName string, schemes []string, p SweepParams,
-	variant func(*Config, string)) (Figure, error) {
+	variant func(*workload.Scenario, string)) (Figure, error) {
 	fig := Figure{Title: title, DS: dsName, ThreadCounts: p.ThreadCounts}
 	for _, scheme := range schemes {
 		s := Series{Name: scheme}
 		for _, n := range p.ThreadCounts {
-			cfg := baseConfig(dsName, p)
-			cfg.Scheme = scheme
-			cfg.Threads = n
-			cfg.Cores = p.Cores
+			spec := paperPoint(dsName, scheme, p, n)
 			if variant != nil {
-				variant(&cfg, scheme)
+				variant(&spec, scheme)
 			}
-			r, err := Run(cfg)
+			r, err := RunScenario(spec)
 			if err != nil {
 				return fig, err
 			}
@@ -191,10 +219,10 @@ func RunFig4(dsName string, p SweepParams) (Figure, error) {
 		schemes = append(append([]string{}, schemes...), "threadscan-tuned")
 	}
 	title := fmt.Sprintf("Figure 4 (%s): oversubscription, %d cores", dsName, p.Cores)
-	return runSweep(title, dsName, schemes, p, func(cfg *Config, scheme string) {
+	return runSweep(title, dsName, schemes, p, func(spec *workload.Scenario, scheme string) {
 		if scheme == "threadscan-tuned" {
-			cfg.Scheme = "threadscan"
-			cfg.BufferSize = 4 * cfg.BufferSize
+			spec.Scheme = "threadscan"
+			spec.BufferSize = 4 * spec.BufferSize
 		}
 	})
 }
@@ -232,8 +260,8 @@ func WriteCSV(w io.Writer, f Figure) error {
 		for _, r := range s.Results {
 			rec := []string{
 				f.DS, s.Name,
-				strconv.Itoa(r.Config.Threads),
-				strconv.Itoa(r.Config.Cores),
+				strconv.Itoa(r.Threads),
+				strconv.Itoa(r.Cores),
 				strconv.FormatUint(r.Ops, 10),
 				strconv.FormatInt(r.ElapsedCycles, 10),
 				strconv.FormatFloat(r.Throughput, 'f', 0, 64),

@@ -5,21 +5,20 @@ import (
 	"strings"
 	"testing"
 
-	"threadscan/internal/core"
+	"threadscan/internal/workload"
 )
 
-func quickCfg(dsName, scheme string, threads int) Config {
-	return Config{
-		DS: dsName, Scheme: scheme, Threads: threads, Cores: 4,
-		Duration: 2_000_000, // 2 virtual ms: fast unit runs
-		Seed:     1,
-		KeyRange: 512, Prefill: 256, Buckets: 16,
-		BufferSize: 128, Batch: 128,
-	}
+// quickPaper is the paper scenario shrunk for fast unit runs: 2
+// virtual ms on 4 cores over a 512-key range.
+func quickPaper(dsName, scheme string, threads int) workload.Scenario {
+	s := PaperScenario(dsName, SweepParams{Scale: ScaleQuick, Duration: 2_000_000, Seed: 1})
+	s.Scheme, s.Threads, s.Cores = scheme, threads, 4
+	s.KeyRange, s.Prefill, s.Buckets = 512, 256, 16
+	return s
 }
 
 func TestRunProducesOps(t *testing.T) {
-	r, err := Run(quickCfg("list", "threadscan", 2))
+	r, err := RunScenario(quickPaper("list", "threadscan", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,9 +36,9 @@ func TestRunProducesOps(t *testing.T) {
 func TestRunAllCombinations(t *testing.T) {
 	for _, dsName := range []string{"list", "hash", "skiplist"} {
 		for _, scheme := range []string{"leaky", "hazard", "epoch", "slow-epoch", "threadscan", "stacktrack"} {
-			cfg := quickCfg(dsName, scheme, 2)
-			cfg.SlowDelay = 200_000 // scaled-down errant delay
-			r, err := Run(cfg)
+			spec := quickPaper(dsName, scheme, 2)
+			spec.SlowDelay = 200_000 // scaled-down errant delay
+			r, err := RunScenario(spec)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", dsName, scheme, err)
 			}
@@ -48,38 +47,43 @@ func TestRunAllCombinations(t *testing.T) {
 			}
 			// Reclamation accounting: every scheme but leaky must have
 			// freed what it retired once flushed.
-			if scheme != "leaky" && r.Scheme.Retired != r.Scheme.Freed {
+			if scheme != "leaky" && r.SchemeStats.Retired != r.SchemeStats.Freed {
 				t.Fatalf("%s/%s: retired %d != freed %d",
-					dsName, scheme, r.Scheme.Retired, r.Scheme.Freed)
+					dsName, scheme, r.SchemeStats.Retired, r.SchemeStats.Freed)
 			}
-			if scheme == "leaky" && r.Scheme.Retired > 0 && r.Scheme.Leaked != r.Scheme.Retired {
-				t.Fatalf("leaky accounting: %+v", r.Scheme)
+			if scheme == "leaky" && r.SchemeStats.Retired > 0 && r.SchemeStats.Leaked != r.SchemeStats.Retired {
+				t.Fatalf("leaky accounting: %+v", r.SchemeStats)
 			}
 		}
 	}
 }
 
 func TestRunRejectsUnknownNames(t *testing.T) {
-	if _, err := Run(quickCfg("btree", "leaky", 1)); err == nil {
+	if _, err := RunScenario(quickPaper("btree", "leaky", 1)); err == nil {
 		t.Error("unknown ds accepted")
 	}
-	if _, err := Run(quickCfg("list", "magic", 1)); err == nil {
+	if _, err := RunScenario(quickPaper("list", "magic", 1)); err == nil {
 		t.Error("unknown scheme accepted")
+	}
+	bad := quickPaper("list", "threadscan", 1)
+	bad.Lookup = "btree"
+	if _, err := RunScenario(bad); err == nil {
+		t.Error("unknown scan lookup accepted")
 	}
 }
 
 func TestDeterministicResults(t *testing.T) {
-	a, err := Run(quickCfg("list", "threadscan", 3))
+	a, err := RunScenario(quickPaper("list", "threadscan", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(quickCfg("list", "threadscan", 3))
+	b, err := RunScenario(quickPaper("list", "threadscan", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Ops != b.Ops || a.ElapsedCycles != b.ElapsedCycles {
-		t.Fatalf("non-deterministic: %d/%d vs %d/%d ops/cycles",
-			a.Ops, a.ElapsedCycles, b.Ops, b.ElapsedCycles)
+	if a.Ops != b.Ops || a.ElapsedCycles != b.ElapsedCycles || a.TraceHash != b.TraceHash {
+		t.Fatalf("non-deterministic: %d/%d/%x vs %d/%d/%x ops/cycles/trace",
+			a.Ops, a.ElapsedCycles, a.TraceHash, b.Ops, b.ElapsedCycles, b.TraceHash)
 	}
 }
 
@@ -88,15 +92,15 @@ func TestOversubscriptionDividesPerThreadWork(t *testing.T) {
 	// threads on 2 cores run for the same elapsed window as 2 threads
 	// on 2 cores, but each gets ~1/4 of the CPU, so per-thread ops
 	// drop ~4x.
-	base := quickCfg("list", "leaky", 2)
+	base := quickPaper("list", "leaky", 2)
 	base.Cores = 2
-	over := quickCfg("list", "leaky", 8)
+	over := quickPaper("list", "leaky", 8)
 	over.Cores = 2
-	rb, err := Run(base)
+	rb, err := RunScenario(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := Run(over)
+	ro, err := RunScenario(over)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +163,8 @@ func TestFig4AddsTunedHashVariant(t *testing.T) {
 		if s.Name == "threadscan-tuned" {
 			found = true
 			base := 128 // quick-scale buffer
-			if s.Results[0].Config.BufferSize != 4*base {
-				t.Fatalf("tuned variant buffer = %d, want %d", s.Results[0].Config.BufferSize, 4*base)
+			if s.Results[0].Scenario.BufferSize != 4*base {
+				t.Fatalf("tuned variant buffer = %d, want %d", s.Results[0].Scenario.BufferSize, 4*base)
 			}
 		}
 	}
@@ -169,12 +173,39 @@ func TestFig4AddsTunedHashVariant(t *testing.T) {
 	}
 }
 
-func TestAblationBuffer(t *testing.T) {
-	p := SweepParams{Scale: ScaleQuick, Cores: 2, Duration: 1_000_000, Seed: 5}
-	rows, err := AblationBuffer([]int{64, 256}, p, 4)
+// ablation returns the named declaration or fails the test.
+func ablation(t *testing.T, name string) *Ablation {
+	t.Helper()
+	a, ok := AblationByName(name)
+	if !ok {
+		t.Fatalf("ablation %q not registered", name)
+	}
+	return a
+}
+
+// runTweaked expands an ablation, lets tweak adjust every cell, and
+// runs the cells.
+func runTweaked(t *testing.T, a *Ablation, p AblationParams, tweak func(*workload.Scenario)) []AblationRow {
+	t.Helper()
+	vs, err := a.Variants(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i := range vs {
+		tweak(&vs[i].Spec)
+	}
+	rows, err := runVariants(vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+func TestAblationBuffer(t *testing.T) {
+	a := ablation(t, "buffer")
+	p := AblationParams{SweepParams: SweepParams{Scale: ScaleQuick, Cores: 2, Duration: 1_000_000, Seed: 5},
+		Values: []int64{64, 256}}
+	rows := runTweaked(t, a, p, func(s *workload.Scenario) { s.Threads = 4 })
 	if len(rows) != 2 {
 		t.Fatalf("rows: %d", len(rows))
 	}
@@ -184,38 +215,39 @@ func TestAblationBuffer(t *testing.T) {
 			rows[0].Result.Core.Collects, rows[1].Result.Core.Collects)
 	}
 	var buf bytes.Buffer
-	if err := WriteBufferTable(&buf, rows); err != nil {
+	if err := WriteAblationTable(&buf, a, rows); err != nil {
 		t.Fatal(err)
+	}
+	if !strings.HasPrefix(buf.String(), "# A1: ") || !strings.Contains(buf.String(), "\n256 ") {
+		t.Fatalf("A1 table:\n%s", buf.String())
 	}
 }
 
 func TestAblationLookupAgree(t *testing.T) {
-	p := SweepParams{Scale: ScaleQuick, Cores: 2, Duration: 1_000_000, Seed: 9}
-	rows, err := AblationLookup(p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := ablation(t, "lookup")
+	p := AblationParams{SweepParams: SweepParams{Scale: ScaleQuick, Cores: 2, Duration: 1_000_000, Seed: 9}}
+	rows := runTweaked(t, a, p, func(s *workload.Scenario) {})
 	if len(rows) != 3 {
 		t.Fatalf("rows: %d", len(rows))
 	}
-	if rows[0].Lookup != core.LookupBinary {
+	if rows[0].Labels[0] != "binary" || rows[0].Result.Scenario.Lookup != "binary" {
 		t.Fatal("first row should be the paper's binary search")
 	}
 	var buf bytes.Buffer
-	if err := WriteLookupTable(&buf, rows); err != nil {
+	if err := WriteAblationTable(&buf, a, rows); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestAblationStallShowsContrast(t *testing.T) {
-	p := SweepParams{Scale: ScaleQuick, Cores: 2, Duration: 8_000_000, Seed: 11}
-	rows, err := AblationStall(p, 3, 50, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := ablation(t, "stall")
+	p := AblationParams{SweepParams: SweepParams{Scale: ScaleQuick, Cores: 2, Duration: 8_000_000, Seed: 11}}
+	rows := runTweaked(t, a, p, func(s *workload.Scenario) {
+		s.Threads, s.StallEvery, s.StallCycles = 3, 50, 1_000_000
+	})
 	var epochWait, tsWait int64
 	for _, r := range rows {
-		switch r.Scheme {
+		switch r.Labels[0] {
 		case "epoch":
 			epochWait = r.Result.SchemeStats.GraceWaitCycles
 		case "threadscan":
@@ -229,7 +261,7 @@ func TestAblationStallShowsContrast(t *testing.T) {
 		t.Fatal("epoch reclaimers never waited despite the stalled thread")
 	}
 	var buf bytes.Buffer
-	if err := WriteStallTable(&buf, rows); err != nil {
+	if err := WriteAblationTable(&buf, a, rows); err != nil {
 		t.Fatal(err)
 	}
 }

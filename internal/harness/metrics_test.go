@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
 	"math"
-	"os"
 	"testing"
 
 	"threadscan/internal/obs"
@@ -39,64 +37,22 @@ func maxValue(s obs.Series) float64 {
 // and therefore ops, elapsed cycles, trace hash, and final size —
 // cannot move.  Only host-side memory differs.
 func TestMetricsOffIsBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("baseline replay skipped in -short")
-	}
-	raw, err := os.ReadFile("../../BENCH_baseline.json")
-	if err != nil {
-		t.Skipf("no captured baseline: %v", err)
-	}
-	var baseline []struct {
-		Scenario      string `json:"scenario"`
-		DS            string `json:"ds"`
-		Scheme        string `json:"scheme"`
-		Ops           uint64 `json:"ops"`
-		ElapsedCycles int64  `json:"elapsed_cycles"`
-		TraceHash     uint64 `json:"trace_hash"`
-		FinalSize     int    `json:"final_size"`
-	}
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		t.Fatalf("parse baseline: %v", err)
-	}
-	want := map[[3]string]bool{
-		{"uniform-baseline", "list", "threadscan"}: true,
-		{"delete-storm", "stack", "epoch"}:         true,
-		{"thread-churn", "queue", "threadscan"}:    true,
-		{"numa-split", "stack", "threadscan"}:      true,
-	}
-	replayed := 0
-	for _, b := range baseline {
-		if !want[[3]string{b.Scenario, b.DS, b.Scheme}] {
-			continue
-		}
-		replayed++
-		b := b
-		t.Run(b.Scenario+"/"+b.DS+"/"+b.Scheme, func(t *testing.T) {
-			t.Parallel()
-			spec, ok := workload.ByName(b.Scenario)
-			if !ok {
-				t.Fatalf("baseline names unknown scenario %q", b.Scenario)
-			}
-			spec.DS, spec.Scheme, spec.Seed = b.DS, b.Scheme, 1
+	replayBaseline(t, [][3]string{
+		{"uniform-baseline", "list", "threadscan"},
+		{"delete-storm", "stack", "epoch"},
+		{"thread-churn", "queue", "threadscan"},
+		{"numa-split", "stack", "threadscan"},
+	}, replayMode{
+		run: func(spec workload.Scenario) (ScenarioResult, error) {
 			spec.MetricsEvery = -1 // full sampling on the footprint cadence
-			r, err := RunScenarioRecorded(spec, obs.NewRecorder())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Ops != b.Ops || r.ElapsedCycles != b.ElapsedCycles ||
-				r.TraceHash != b.TraceHash || r.FinalSize != b.FinalSize {
-				t.Errorf("metrics sampling perturbed the run:\n  ops %d != %d\n  cycles %d != %d\n  trace %x != %x\n  final %d != %d",
-					r.Ops, b.Ops, r.ElapsedCycles, b.ElapsedCycles,
-					r.TraceHash, b.TraceHash, r.FinalSize, b.FinalSize)
-			}
+			return RunScenarioRecorded(spec, obs.NewRecorder())
+		},
+		check: func(t *testing.T, r ScenarioResult) {
 			if len(r.Metrics) == 0 {
 				t.Error("metrics were requested but no series came back — test proves nothing")
 			}
-		})
-	}
-	if replayed != len(want) {
-		t.Fatalf("replayed %d of %d baseline rows — regenerate BENCH_baseline.json?", replayed, len(want))
-	}
+		},
+	})
 }
 
 // TestFootprintSeriesReconciles: the footprint sampler is the first

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"threadscan/internal/workload"
@@ -14,27 +12,6 @@ import (
 // golden file is BENCH_baseline.json at the repo root, regenerated
 // with `tsbench scenarios -seed 1 -json BENCH_baseline.json`.
 func TestFlatModelMatchesCapturedBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("baseline replay skipped in -short")
-	}
-	raw, err := os.ReadFile("../../BENCH_baseline.json")
-	if err != nil {
-		t.Skipf("no captured baseline: %v", err)
-	}
-	var baseline []struct {
-		Scenario      string  `json:"scenario"`
-		DS            string  `json:"ds"`
-		Scheme        string  `json:"scheme"`
-		Ops           uint64  `json:"ops"`
-		ElapsedCycles int64   `json:"elapsed_cycles"`
-		TraceHash     uint64  `json:"trace_hash"`
-		FinalSize     int     `json:"final_size"`
-		Throughput    float64 `json:"throughput_ops_per_vsec"`
-	}
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		t.Fatalf("parse baseline: %v", err)
-	}
-
 	// Replay a cross-section of the grid: one flat scenario per family
 	// against distinct structures and schemes, plus a multi-node row —
 	// Nodes > 1 with per-node routing *disabled* must also stay
@@ -42,43 +19,14 @@ func TestFlatModelMatchesCapturedBaseline(t *testing.T) {
 	// extra list rows walk the list under snips racing collects and
 	// under signals to descheduled walkers.  (CI replays the full grid
 	// in its test job; this keeps `go test` minutes-free.)
-	want := map[[3]string]bool{
-		{"uniform-baseline", "list", "threadscan"}: true,
-		{"delete-storm", "list", "threadscan"}:     true,
-		{"oversubscribed", "list", "epoch"}:        true,
-		{"delete-storm", "stack", "epoch"}:         true,
-		{"thread-churn", "queue", "threadscan"}:    true,
-		{"numa-split", "stack", "threadscan"}:      true,
-	}
-	replayed := 0
-	for _, b := range baseline {
-		if !want[[3]string{b.Scenario, b.DS, b.Scheme}] {
-			continue
-		}
-		replayed++
-		b := b
-		t.Run(b.Scenario+"/"+b.DS+"/"+b.Scheme, func(t *testing.T) {
-			t.Parallel()
-			spec, ok := workload.ByName(b.Scenario)
-			if !ok {
-				t.Fatalf("baseline names unknown scenario %q", b.Scenario)
-			}
-			spec.DS, spec.Scheme, spec.Seed = b.DS, b.Scheme, 1
-			r, err := RunScenario(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Ops != b.Ops || r.ElapsedCycles != b.ElapsedCycles ||
-				r.TraceHash != b.TraceHash || r.FinalSize != b.FinalSize {
-				t.Errorf("diverged from captured baseline:\n  ops %d != %d\n  cycles %d != %d\n  trace %x != %x\n  final %d != %d",
-					r.Ops, b.Ops, r.ElapsedCycles, b.ElapsedCycles,
-					r.TraceHash, b.TraceHash, r.FinalSize, b.FinalSize)
-			}
-		})
-	}
-	if replayed != len(want) {
-		t.Fatalf("replayed %d of %d baseline rows — regenerate BENCH_baseline.json?", replayed, len(want))
-	}
+	replayBaseline(t, [][3]string{
+		{"uniform-baseline", "list", "threadscan"},
+		{"delete-storm", "list", "threadscan"},
+		{"oversubscribed", "list", "epoch"},
+		{"delete-storm", "stack", "epoch"},
+		{"thread-churn", "queue", "threadscan"},
+		{"numa-split", "stack", "threadscan"},
+	}, replayMode{run: RunScenario})
 }
 
 // TestNUMAAffinityBeatsRoundRobin (the A6 claim): on the numa-split

@@ -32,43 +32,45 @@ func TestOverlapScalingRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("A9 sweep skipped in -short")
 	}
-	rows, err := AblationOverlap([]string{"per-node-reclaim"}, []int{1, 2, 4},
-		SweepParams{Duration: 10_000_000, Seed: 1})
+	rows, err := ablation(t, "overlap").Run(AblationParams{
+		SweepParams: SweepParams{Duration: 10_000_000, Seed: 1},
+		Scenarios:   []string{"per-node-reclaim"}, Values: []int64{1, 2, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := map[[2]interface{}]OverlapRow{}
-	for _, row := range rows {
-		byKey[[2]interface{}{row.Nodes, row.Mode}] = row
-		c := row.Result.Core
-		if row.Mode == "serialized" && c.OverlappedCollects != 0 {
-			t.Errorf("serialized run at %d nodes overlapped %d collects — the machine-wide lock leaked",
-				row.Nodes, c.OverlappedCollects)
+	// Labels are scenario, nodes, mode.
+	byKey := map[[2]string]*ScenarioResult{}
+	for i := range rows {
+		nodes, mode := rows[i].Labels[1], rows[i].Labels[2]
+		byKey[[2]string{nodes, mode}] = &rows[i].Result
+		c := rows[i].Result.Core
+		if mode == "serialized" && c.OverlappedCollects != 0 {
+			t.Errorf("serialized run at %s nodes overlapped %d collects — the machine-wide lock leaked",
+				nodes, c.OverlappedCollects)
 		}
-		if row.Mode == "overlapped" && row.Nodes >= 2 && c.OverlappedCollects == 0 {
-			t.Errorf("overlapped run at %d nodes never overlapped a collect — the sweep proves nothing",
-				row.Nodes)
+		if mode == "overlapped" && nodes != "1" && c.OverlappedCollects == 0 {
+			t.Errorf("overlapped run at %s nodes never overlapped a collect — the sweep proves nothing",
+				nodes)
 		}
 	}
 	// At one node PerNode is inert, so both modes are the same classic
 	// pipeline — the common scaling baseline.
-	s1, o1 := byKey[[2]interface{}{1, "serialized"}], byKey[[2]interface{}{1, "overlapped"}]
-	if s1.Result.Ops != o1.Result.Ops || s1.Result.ElapsedCycles != o1.Result.ElapsedCycles ||
-		s1.Result.TraceHash != o1.Result.TraceHash {
+	s1, o1 := byKey[[2]string{"1", "serialized"}], byKey[[2]string{"1", "overlapped"}]
+	if s1.Ops != o1.Ops || s1.ElapsedCycles != o1.ElapsedCycles || s1.TraceHash != o1.TraceHash {
 		t.Errorf("single-node serialized and overlapped runs diverged: ops %d/%d cycles %d/%d",
-			s1.Result.Ops, o1.Result.Ops, s1.Result.ElapsedCycles, o1.Result.ElapsedCycles)
+			s1.Ops, o1.Ops, s1.ElapsedCycles, o1.ElapsedCycles)
 	}
-	base := o1.CollectThroughput
+	base := collectThroughput(o1)
 	if base <= 0 {
 		t.Fatal("single-node run reclaimed nothing")
 	}
 	for _, want := range []struct {
-		nodes int
+		nodes string
 		ratio float64
-	}{{2, 1.7}, {4, 3.0}} {
-		got := byKey[[2]interface{}{want.nodes, "overlapped"}].CollectThroughput / base
+	}{{"2", 1.7}, {"4", 3.0}} {
+		got := collectThroughput(byKey[[2]string{want.nodes, "overlapped"}]) / base
 		if got < want.ratio {
-			t.Errorf("overlapped collect throughput at %d nodes scaled %.2fx over one node, want >= %.1fx",
+			t.Errorf("overlapped collect throughput at %s nodes scaled %.2fx over one node, want >= %.1fx",
 				want.nodes, got, want.ratio)
 		}
 	}

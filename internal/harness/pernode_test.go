@@ -104,7 +104,8 @@ func TestAblationPerNodeRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweep skipped in -short")
 	}
-	rows, err := AblationPerNode([]string{"numa-split"}, SweepParams{Duration: 10_000_000, Seed: 1})
+	rows, err := ablation(t, "pernode").Run(AblationParams{
+		SweepParams: SweepParams{Duration: 10_000_000, Seed: 1}, Scenarios: []string{"numa-split"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +115,9 @@ func TestAblationPerNodeRuns(t *testing.T) {
 	byRouting := map[string]ScenarioResult{}
 	for _, row := range rows {
 		if row.Result.Core == nil {
-			t.Fatalf("%s/%s: no core stats", row.Scenario, row.Routing)
+			t.Fatalf("%v: no core stats", row.Labels)
 		}
-		byRouting[row.Routing] = row.Result
+		byRouting[row.Labels[1]] = row.Result
 	}
 	if got := byRouting["pernode"].Core.SweepRemoteFills; got != 0 {
 		t.Errorf("A7 pernode row reports %d sweep remote fills, want 0", got)

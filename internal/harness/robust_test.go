@@ -23,7 +23,9 @@ func TestRobustBoundedGarbageContrast(t *testing.T) {
 		t.Skip("multi-scheme stall sweep")
 	}
 	stalls := []int64{1_000_000, 6_000_000}
-	rows, err := AblationRobust("stalled-scanner", stalls, SweepParams{Seed: 1})
+	a := ablation(t, "robust")
+	rows, err := a.Run(AblationParams{SweepParams: SweepParams{Seed: 1},
+		Scenarios: []string{"stalled-scanner"}, Values: stalls})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,9 +37,9 @@ func TestRobustBoundedGarbageContrast(t *testing.T) {
 	for _, r := range rows {
 		p := r.Result.Footprint.ExactPeakRetiredWords
 		if p == 0 {
-			t.Fatalf("%s/%d: zero exact peak", r.Scheme, r.StallCycles)
+			t.Fatalf("%v: zero exact peak", r.Labels)
 		}
-		peaks[r.Scheme] = append(peaks[r.Scheme], p)
+		peaks[r.Labels[0]] = append(peaks[r.Labels[0]], p)
 	}
 	for _, scheme := range []string{"epoch", "threadscan"} {
 		p := peaks[scheme]
@@ -61,7 +63,7 @@ func TestRobustBoundedGarbageContrast(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := WriteRobustTable(&buf, rows); err != nil {
+	if err := WriteAblationTable(&buf, a, rows); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"stall_cycles", "exact_peak_words", "hyaline", "epoch", "threadscan"} {

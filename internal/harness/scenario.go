@@ -1,8 +1,10 @@
-// Scenario engine: executes the declarative workloads of
-// internal/workload against the simulated substrate — phased op mixes,
-// skewed key distributions, mid-run thread churn (via simt.SpawnFrom),
-// and footprint telemetry — where the classic Run executes only the
-// paper's single workload shape.
+// Scenario engine: the harness's one run engine.  It executes the
+// declarative workloads of internal/workload against the simulated
+// substrate on the checked heap — phased op mixes, skewed key
+// distributions, mid-run thread churn (via simt.SpawnFrom), and
+// footprint telemetry.  The paper's figures are sweeps of one scenario
+// shape (PaperScenario) and every ablation is a sweep of scenario
+// variants (Ablations), so all of them run here.
 
 package harness
 
@@ -172,7 +174,14 @@ func scenarioHeapWords(spec *workload.Scenario, nodeWords int) int {
 	if spec.HeapWords > 0 {
 		return spec.HeapWords
 	}
-	nodeScale := policyHeapScale(spec.AllocPolicy, spec.Nodes)
+	// A per-node allocation policy splits the arena Nodes ways; scale
+	// it so each node keeps the headroom a global pool would have
+	// machine-wide (membind has no fallback to borrow it back).
+	nodeScale := 1
+	if pol, err := simmem.ParsePolicy(spec.AllocPolicy); err == nil &&
+		pol != simmem.PolicyGlobal && spec.Nodes > 1 {
+		nodeScale = spec.Nodes
+	}
 	insCost, otherCost := int64(100), int64(10) // stack/queue floors
 	switch spec.DS {
 	case "list", "hash", "skiplist":
@@ -203,7 +212,7 @@ func scenarioHeapWords(spec *workload.Scenario, nodeWords int) int {
 		buf = core.DefaultBufferSize
 	}
 	if batch == 0 {
-		batch = 1024
+		batch = defaultBatch
 	}
 	liveMax := int(spec.KeyRange) + spec.Prefill + allocNodes + workers*(buf+batch) + 4096
 	words := liveMax * nodeWords * 3 / 2 * nodeScale
@@ -402,30 +411,6 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 		workers += spec.Churn.TotalWorkers()
 	}
 
-	// Scheme construction reuses the classic harness builder; the
-	// remaining Config fields only feed defaults it fills itself.
-	// Slow-epoch's errant victim is the first worker (thread 1 — the
-	// sampler occupies id 0).
-	claim := core.ClaimAffinity
-	if spec.ClaimPolicy == "rr" {
-		claim = core.ClaimRoundRobin
-	}
-	schemeCfg := Config{
-		Scheme:         spec.Scheme,
-		BufferSize:     spec.BufferSize,
-		Batch:          spec.Batch,
-		Shards:         spec.Shards,
-		Watermark:      spec.Watermark,
-		HelpFree:       spec.HelpFree,
-		Claim:          claim,
-		PerNode:        spec.PerNode,
-		StealThreshold: spec.StealThreshold,
-		SerializeColl:  spec.SerializeCollects,
-		DelayVictim:    1,
-		Obs:            rec,
-	}
-	schemeCfg.fill()
-
 	nodeWords, err := scenarioNodeWords(&spec)
 	if err != nil {
 		return ScenarioResult{}, err
@@ -452,6 +437,7 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 		Quantum:    quantum,
 		Seed:       spec.Seed,
 		Chaos:      spec.Chaos,
+		CacheSim:   spec.CacheSim,
 		StackWords: 256,
 		MaxCycles:  watchdog,
 		Heap: simmem.Config{
@@ -462,7 +448,7 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 		sim.SetProbe(rec)
 		sim.Heap().SetObserver(rec)
 	}
-	sc, tsCore, err := BuildScheme(sim, schemeCfg)
+	sc, tsCore, err := BuildScheme(sim, &spec, rec)
 	if err != nil {
 		return ScenarioResult{}, err
 	}

@@ -128,6 +128,15 @@ type Scenario struct {
 	BufferSize int
 	Batch      int
 
+	// Lookup selects threadscan's TS-Scan membership structure
+	// (ablation A3): ""/"binary" (the paper's sorted binary search),
+	// "linear" or "hash".  Fill rejects any other name.
+	Lookup string
+
+	// SlowDelay is slow-epoch's errant cleanup stall in cycles (0 =
+	// the paper's 40 ms).
+	SlowDelay int64
+
 	// Sharded-collect pipeline knobs (threadscan; 0/false = classic
 	// serial collect).  Shards is K, the address-shard count; Watermark
 	// triggers a collect when the global buffered count crosses it;
@@ -244,6 +253,10 @@ type Scenario struct {
 	Quantum     int64
 	HeapWords   int
 	SampleEvery int64 // footprint sampling interval (0 = duration/64)
+
+	// CacheSim turns on the simulator's per-core cache model, the
+	// machine the paper's figures and ablations A1-A3 run on.
+	CacheSim bool
 
 	// MetricsEvery is the metrics-engine sampling interval in virtual
 	// cycles: every timeline series gets one point per interval.  0
@@ -362,6 +375,11 @@ func (s *Scenario) Fill() error {
 	default:
 		return fmt.Errorf("workload: %s: unknown claim policy %q", s.Name, s.ClaimPolicy)
 	}
+	switch s.Lookup {
+	case "", "binary", "linear", "hash":
+	default:
+		return fmt.Errorf("workload: %s: unknown scan lookup %q", s.Name, s.Lookup)
+	}
 	if _, err := simmem.ParsePolicy(s.AllocPolicy); err != nil {
 		return fmt.Errorf("workload: %s: %w", s.Name, err)
 	}
@@ -430,7 +448,7 @@ func (s *Scenario) WorkerGroupMix(i int) *Mix {
 }
 
 // Scale multiplies every duration-like knob by f (phase durations,
-// churn stagger/life, sampling interval, stall length), returning the
+// churn stagger/life, sampling interval, stall lengths), returning the
 // scaled copy.
 // Use it to stretch the quick-scale builtins toward paper-length runs.
 func (s Scenario) Scale(f float64) Scenario {
@@ -454,6 +472,9 @@ func (s Scenario) Scale(f float64) Scenario {
 	}
 	if s.StallCycles > 0 {
 		s.StallCycles = int64(float64(s.StallCycles) * f)
+	}
+	if s.SlowDelay > 0 {
+		s.SlowDelay = int64(float64(s.SlowDelay) * f)
 	}
 	return s
 }

@@ -292,6 +292,19 @@ func TestWorkerMixGroups(t *testing.T) {
 	}
 }
 
+func TestFillRejectsUnknownLookup(t *testing.T) {
+	for _, name := range []string{"", "binary", "linear", "hash"} {
+		s := Scenario{Lookup: name}
+		if err := s.Fill(); err != nil {
+			t.Errorf("lookup %q rejected: %v", name, err)
+		}
+	}
+	bad := Scenario{Lookup: "btree"}
+	if err := bad.Fill(); err == nil {
+		t.Fatal("unknown scan lookup accepted")
+	}
+}
+
 func TestTopologyKnobValidation(t *testing.T) {
 	bad := Scenario{PinPolicy: "diagonal"}
 	if err := bad.Fill(); err == nil {

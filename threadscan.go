@@ -204,12 +204,9 @@ func NewQueue(sim *Sim, scheme Scheme, nodeBytes int) *Queue {
 	return ds.NewQueue(sim, scheme, nodeBytes)
 }
 
-// Evaluation harness (regenerates the paper's figures).
+// Evaluation harness (regenerates the paper's figures).  Every figure
+// point is a scenario run on the checked heap.
 type (
-	// Experiment describes one benchmark data point.
-	Experiment = harness.Config
-	// Result is one experiment outcome.
-	Result = harness.Result
 	// SweepParams parameterizes a figure sweep.
 	SweepParams = harness.SweepParams
 	// Figure is a reproduced figure panel.
@@ -222,8 +219,11 @@ const (
 	ScalePaper = harness.ScalePaper
 )
 
-// RunExperiment executes one benchmark data point.
-func RunExperiment(cfg Experiment) (Result, error) { return harness.Run(cfg) }
+// PaperScenario returns the paper's §6 workload for one structure
+// ("list", "hash" or "skiplist") at p's scale: uniform keys, 20%
+// updates, one measured window of p.Duration cycles.  Set Scheme,
+// Threads and Cores on it and run it with RunScenario.
+func PaperScenario(dsName string, p SweepParams) Scenario { return harness.PaperScenario(dsName, p) }
 
 // RunFig3 reproduces one panel of the paper's Figure 3 (throughput
 // scaling up to the hardware thread count).
