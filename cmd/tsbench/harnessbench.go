@@ -68,15 +68,11 @@ func runHarnessBench(args []string) {
 	}
 
 	timed("scenario-grid", func() error {
-		for _, base := range workload.Builtins() {
-			for _, ds := range []string{"list", "stack", "queue"} {
-				for _, scheme := range []string{"leaky", "epoch", "threadscan"} {
-					spec := base.Scale(*scale)
-					spec.DS, spec.Scheme, spec.Seed = ds, scheme, *seed
-					if _, err := harness.RunScenario(spec); err != nil {
-						return fmt.Errorf("%s/%s/%s: %w", base.Name, ds, scheme, err)
-					}
-				}
+		cells := gridCells(workload.Builtins(), []string{"list", "stack", "queue"},
+			[]string{"leaky", "epoch", "threadscan"}, *scale, *seed)
+		for _, spec := range cells {
+			if _, err := harness.RunScenario(spec); err != nil {
+				return fmt.Errorf("%s/%s/%s: %w", spec.Name, spec.DS, spec.Scheme, err)
 			}
 		}
 		return nil

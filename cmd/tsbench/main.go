@@ -4,7 +4,8 @@
 // size, A2 scan cost, A3 scan lookup, A4 errant thread, A5 sharded
 // collect, through A10 bounded garbage under preemption) — and
 // runs the declarative scenario suite (skew, delete storms, thread
-// churn, oversubscription) with memory-footprint telemetry.
+// churn, oversubscription) with memory-footprint telemetry.  `tsbench
+// golden` replays all of it against one checked-in manifest.
 //
 // Examples:
 //
@@ -26,6 +27,9 @@
 //
 //	tsbench harness-bench                   # append a wall-clock trajectory row
 //	tsbench harness-bench -check            # and fail on >2x regression
+//
+//	tsbench golden                          # replay every pinned virtual output
+//	tsbench golden -update                  # list the moved rows, rewrite the manifest
 package main
 
 import (
@@ -47,6 +51,10 @@ func main() {
 		runHarnessBench(os.Args[2:])
 		return
 	}
+	if len(os.Args) > 1 && os.Args[1] == "golden" {
+		runGolden(os.Args[2:])
+		return
+	}
 	if len(os.Args) > 1 && os.Args[1] == "timeline" {
 		runTimeline(os.Args[2:])
 		return
@@ -65,7 +73,7 @@ func main() {
 		threads  = flag.String("threads", "", "comma-separated thread counts (sweeps) or count (-single)")
 		cores    = flag.Int("cores", 0, "virtual cores (0 = per-scale default)")
 		duration = flag.Float64("duration-ms", 50, "measured window per point, in virtual milliseconds")
-		quantum  = flag.Float64("quantum-us", 0, "scheduler timeslice in virtual microseconds (0 = default 200)")
+		quantum  = flag.Float64("quantum-us", 0, "scheduler timeslice in virtual microseconds (0 = 125, or 1000 for the paper scenario at -scale paper)")
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		cacheSim = flag.Bool("cache", true, "enable the per-core cache model")
 		csvPath  = flag.String("csv", "", "also write figure results as CSV to this file")
@@ -108,7 +116,7 @@ func main() {
 	case *single:
 		runSingle(*dsName, *scheme, *threads, params, *buffer, *batch)
 	case *ablation != "":
-		ap := harness.AblationParams{SweepParams: params, Scenarios: splitScenarios(*ablScen)}
+		ap := harness.AblationParams{SweepParams: params, Scenarios: splitList(*ablScen)}
 		if *shardKs != "" && *ablation == "shards" {
 			for _, k := range parseInts(*shardKs, "shard count") {
 				ap.Values = append(ap.Values, int64(k))
@@ -166,9 +174,9 @@ func parseInts(s, what string) []int {
 	return out
 }
 
-// splitScenarios parses a comma-separated -ablation-scenario value
-// (empty slice = the ablation's default scenario set).
-func splitScenarios(s string) []string {
+// splitList parses a comma-separated flag value into trimmed names
+// (empty slice for an empty value).
+func splitList(s string) []string {
 	var out []string
 	if s != "" {
 		for _, part := range strings.Split(s, ",") {

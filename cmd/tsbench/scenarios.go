@@ -80,10 +80,10 @@ func runScenarios(args []string) {
 	}
 
 	// Unknown scheme names fail the same way, before the grid runs.
-	for _, scheme := range strings.Split(*schemes, ",") {
-		if !harness.KnownScheme(strings.TrimSpace(scheme)) {
+	for _, scheme := range splitList(*schemes) {
+		if !harness.KnownScheme(scheme) {
 			usageErr(fmt.Errorf("unknown scheme %q (known: %s)",
-				strings.TrimSpace(scheme), strings.Join(harness.SchemeNames(), ", ")))
+				scheme, strings.Join(harness.SchemeNames(), ", ")))
 		}
 	}
 
@@ -127,94 +127,86 @@ func runScenarios(args []string) {
 	var results []harness.ScenarioResult
 	var traceRuns []obs.TraceRun
 	var metricCells []obs.MetricsCell
-	for _, base := range specs {
-		for _, dsName := range strings.Split(*dss, ",") {
-			for _, scheme := range strings.Split(*schemes, ",") {
-				spec := base.Scale(*scale)
-				spec.DS = strings.TrimSpace(dsName)
-				spec.Scheme = strings.TrimSpace(scheme)
-				spec.Seed = *seed
-				if *shards > 0 {
-					spec.Shards = *shards
-				}
-				if *wmark > 0 {
-					spec.Watermark = *wmark
-				}
-				if *helpFree {
-					spec.HelpFree = true
-				}
-				if *nodes > 0 {
-					spec.Nodes = *nodes
-				}
-				if *pin != "" {
-					spec.PinPolicy = *pin
-				}
-				if *claim != "" {
-					spec.ClaimPolicy = *claim
-				}
-				if *perNode {
-					spec.PerNode = true
-				}
-				if *steal > 0 {
-					spec.StealThreshold = *steal
-				}
-				if *allocPol != "" {
-					spec.AllocPolicy = *allocPol
-				}
-				if collectMetrics {
-					spec.MetricsEvery = *metEvery
-					if spec.MetricsEvery == 0 {
-						spec.MetricsEvery = -1 // resolve to footprint cadence in Fill
-					}
-				}
-				rec := obs.NewRecorder()
-				if traceFile != nil {
-					rec = obs.NewTraceRecorder()
-				}
-				r, err := harness.RunScenarioRecorded(spec, rec)
-				if err != nil {
-					fatal(err)
-				}
-				label := fmt.Sprintf("%s %s/%s", r.Name, r.DS, r.Scheme)
-				if traceFile != nil {
-					var ws []obs.Window
-					for _, pw := range r.Scenario.PhaseWindows() {
-						ws = append(ws, obs.Window{
-							Name:  pw.Name,
-							Start: r.MeasuredStart + pw.Start,
-							End:   r.MeasuredStart + pw.End,
-						})
-					}
-					traceRuns = append(traceRuns, obs.TraceRun{Label: label, Rec: rec, Windows: ws})
-				}
-				if *profile {
-					if err := obs.WriteProfile(os.Stderr, label, rec); err != nil {
-						fatal(err)
-					}
-				}
-				if r.AccountingError != "" {
-					fmt.Fprintf(os.Stderr, "! %s %s/%s: %s\n", r.Name, r.DS, r.Scheme, r.AccountingError)
-				}
-				if collectMetrics {
-					metricCells = append(metricCells, obs.MetricsCell{
-						Scenario: r.Name, DS: r.DS, Scheme: r.Scheme, Series: r.Metrics,
-					})
-					// Timelines live in the metrics files; keep the results
-					// JSON the same shape with and without -metrics.
-					r.Metrics = nil
-				}
-				if !*samples {
-					r.Footprint.Samples = nil
-				}
-				results = append(results, r)
-				line := fmt.Sprintf("· %-20s %-8s %-10s %8.0f ops/vsec  peak-garbage %d words",
-					r.Name, r.DS, r.Scheme, r.Throughput, r.Footprint.PeakRetiredWords)
-				if r.Core != nil {
-					line += fmt.Sprintf("  collect %d cyc", r.Core.CollectCycles)
-				}
-				fmt.Fprintln(os.Stderr, line)
+	for _, spec := range gridCells(specs, splitList(*dss), splitList(*schemes), *scale, *seed) {
+		if *shards > 0 {
+			spec.Shards = *shards
+		}
+		if *wmark > 0 {
+			spec.Watermark = *wmark
+		}
+		if *helpFree {
+			spec.HelpFree = true
+		}
+		if *nodes > 0 {
+			spec.Nodes = *nodes
+		}
+		if *pin != "" {
+			spec.PinPolicy = *pin
+		}
+		if *claim != "" {
+			spec.ClaimPolicy = *claim
+		}
+		if *perNode {
+			spec.PerNode = true
+		}
+		if *steal > 0 {
+			spec.StealThreshold = *steal
+		}
+		if *allocPol != "" {
+			spec.AllocPolicy = *allocPol
+		}
+		if collectMetrics {
+			spec.MetricsEvery = *metEvery
+			if spec.MetricsEvery == 0 {
+				spec.MetricsEvery = -1 // resolve to footprint cadence in Fill
 			}
 		}
+		rec := obs.NewRecorder()
+		if traceFile != nil {
+			rec = obs.NewTraceRecorder()
+		}
+		r, err := harness.RunScenarioRecorded(spec, rec)
+		if err != nil {
+			fatal(err)
+		}
+		label := fmt.Sprintf("%s %s/%s", r.Name, r.DS, r.Scheme)
+		if traceFile != nil {
+			var ws []obs.Window
+			for _, pw := range r.Scenario.PhaseWindows() {
+				ws = append(ws, obs.Window{
+					Name:  pw.Name,
+					Start: r.MeasuredStart + pw.Start,
+					End:   r.MeasuredStart + pw.End,
+				})
+			}
+			traceRuns = append(traceRuns, obs.TraceRun{Label: label, Rec: rec, Windows: ws})
+		}
+		if *profile {
+			if err := obs.WriteProfile(os.Stderr, label, rec); err != nil {
+				fatal(err)
+			}
+		}
+		if r.AccountingError != "" {
+			fmt.Fprintf(os.Stderr, "! %s %s/%s: %s\n", r.Name, r.DS, r.Scheme, r.AccountingError)
+		}
+		if collectMetrics {
+			metricCells = append(metricCells, obs.MetricsCell{
+				Scenario: r.Name, DS: r.DS, Scheme: r.Scheme, Series: r.Metrics,
+			})
+			// Timelines live in the metrics files; keep the results
+			// JSON the same shape with and without -metrics.
+			r.Metrics = nil
+		}
+		if !*samples {
+			r.Footprint.Samples = nil
+		}
+		results = append(results, r)
+		line := fmt.Sprintf("· %-20s %-8s %-10s %8.0f ops/vsec  peak-garbage %d words",
+			r.Name, r.DS, r.Scheme, r.Throughput, r.Footprint.PeakRetiredWords)
+		if r.Core != nil {
+			line += fmt.Sprintf("  collect %d cyc", r.Core.CollectCycles)
+		}
+		fmt.Fprintln(os.Stderr, line)
 	}
 
 	if traceFile != nil {
@@ -261,6 +253,24 @@ func runScenarios(args []string) {
 	if err := enc.Encode(results); err != nil {
 		fatal(err)
 	}
+}
+
+// gridCells expands a scenario grid into its cells, every scenario ×
+// structure × scheme in that nesting order, scaled and seeded.  It is
+// the one grid loop behind `tsbench scenarios`, `golden` and
+// `harness-bench`.
+func gridCells(specs []workload.Scenario, structures, schemes []string, scale float64, seed int64) []workload.Scenario {
+	var cells []workload.Scenario
+	for _, base := range specs {
+		for _, ds := range structures {
+			for _, scheme := range schemes {
+				spec := base.Scale(scale)
+				spec.DS, spec.Scheme, spec.Seed = ds, scheme, seed
+				cells = append(cells, spec)
+			}
+		}
+	}
+	return cells
 }
 
 // resolveScenarios maps the -scenario flag to scenario specs (all

@@ -9,16 +9,16 @@ import (
 // TestFlatModelMatchesCapturedBaseline: Nodes=1 (every pre-existing
 // scenario) must reproduce the captured suite's virtual-cycle results
 // bit-identically — the topology refactor's safety contract.  The
-// golden file is BENCH_baseline.json at the repo root, regenerated
-// with `tsbench scenarios -seed 1 -json BENCH_baseline.json`.
+// captured cells are the golden manifest's scenario grid
+// (testdata/golden/grid.tsv), rewritten by `tsbench golden -update`.
 func TestFlatModelMatchesCapturedBaseline(t *testing.T) {
 	// Replay a cross-section of the grid: one flat scenario per family
 	// against distinct structures and schemes, plus a multi-node row —
 	// Nodes > 1 with per-node routing *disabled* must also stay
 	// bit-identical, the per-node refactor's safety contract.  The two
 	// extra list rows walk the list under snips racing collects and
-	// under signals to descheduled walkers.  (CI replays the full grid
-	// in its test job; this keeps `go test` minutes-free.)
+	// under signals to descheduled walkers.  (`tsbench golden` replays
+	// the full grid in CI; this keeps `go test` minutes-free.)
 	replayBaseline(t, [][3]string{
 		{"uniform-baseline", "list", "threadscan"},
 		{"delete-storm", "list", "threadscan"},

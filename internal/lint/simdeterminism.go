@@ -45,9 +45,10 @@ var sortFuncs = map[string]bool{
 }
 
 // Simdeterminism returns the analyzer that enforces the simulation's
-// determinism contract: bit-identical replay of BENCH_baseline.json
-// requires that code in simulated packages never consults wall clocks,
-// unseeded randomness, real concurrency, or map-iteration order.
+// determinism contract: bit-identical replay of the golden manifest
+// (`tsbench golden`) requires that code in simulated packages never
+// consults wall clocks, unseeded randomness, real concurrency, or
+// map-iteration order.
 func Simdeterminism(cfg *Config) *analysis.Analyzer {
 	return &analysis.Analyzer{
 		Name: "simdeterminism",

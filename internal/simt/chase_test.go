@@ -47,11 +47,6 @@ func chaseFusedAt(nextOff, keyOff int) chaser {
 	}
 }
 
-var (
-	chaseByCalls = chaseByCallsAt(chainNextOff, chainKeyOff)
-	chaseFused   = chaseFusedAt(chainNextOff, chainKeyOff)
-)
-
 // buildChain links nodes with the given keys, in order, behind a fresh
 // head word and marks the nodes whose keys are in marked.  It returns
 // the head word's address and the node addresses.
@@ -207,8 +202,8 @@ func chaseConfigs() map[string]Config {
 func TestChaseMatchesLoadSequence(t *testing.T) {
 	for name, cfg := range chaseConfigs() {
 		t.Run(name, func(t *testing.T) {
-			want := chaseRun(t, cfg, chaseByCalls)
-			got := chaseRun(t, cfg, chaseFused)
+			want := chaseRun(t, cfg, chaseByCallsAt(chainNextOff, chainKeyOff))
+			got := chaseRun(t, cfg, chaseFusedAt(chainNextOff, chainKeyOff))
 			seen := map[int]int{}
 			for _, s := range want {
 				seen[s.reason]++
@@ -247,8 +242,8 @@ func TestChaseOntoFreedNodeViolates(t *testing.T) {
 		return v, nodes[1]
 	}
 	for _, stop := range []bool{true, false} {
-		want, freed := run(chaseByCalls, stop)
-		got, _ := run(chaseFused, stop)
+		want, freed := run(chaseByCallsAt(chainNextOff, chainKeyOff), stop)
+		got, _ := run(chaseFusedAt(chainNextOff, chainKeyOff), stop)
 		if got.Kind != want.Kind || got.Addr != want.Addr || got.Op != want.Op {
 			t.Errorf("stopOnMark=%v: violation %v, want %v", stop, got, want)
 		}
@@ -433,8 +428,8 @@ func TestChaseRunAheadMatchesLoadSequence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for machine, cfg := range runAheadMachines() {
 				t.Run(machine, func(t *testing.T) {
-					want := runAheadRun(t, cfg, chaseByCalls, body)
-					got := runAheadRun(t, cfg, chaseFused, body)
+					want := runAheadRun(t, cfg, chaseByCallsAt(chainNextOff, chainKeyOff), body)
+					got := runAheadRun(t, cfg, chaseFusedAt(chainNextOff, chainKeyOff), body)
 					if len(got) != len(want) {
 						t.Fatalf("%d snapshots, want %d", len(got), len(want))
 					}
