@@ -664,19 +664,21 @@ func (ts *ThreadScan) freeLists(t *simt.Thread, s *slot, lists []freeList, stole
 
 // scanThread scans t's registers, stack, and registered heap blocks
 // once, probing every slot in slots per word — the shared scan epoch.
-// The word mask (§4.2 "Pointer Operations") and heap range check are
-// charged once per word; shard routing and lookup are charged per
-// probed slot.
+// Each word is resolved to the base of the heap block it points into
+// (simmem.Heap.BlockBase), so a tagged pointer (§4.2 "Pointer
+// Operations") or an interior pointer such as &node.next keeps its node
+// alive.  The resolution is charged as the paper's mask plus range
+// check, once per word; shard routing and lookup are charged per probed
+// slot.
 func (ts *ThreadScan) scanThread(t *simt.Thread, slots []*slot) {
 	ts.stats.ScannedThreads++
 	c := ts.costs()
 	words := 0
 	scanWord := func(w uint64) {
 		words++
-		t.Charge(2 * c.Step) // mask + range check
-		//tslint:ignore tagptr scanned-word pointer masking per paper §4.2, not a ring-entry tag
-		p := w &^ 7
-		if p == 0 || !ts.sim.Heap().Contains(p) {
+		t.Charge(2 * c.Step) // resolve to a block base (mask + range check)
+		p := ts.sim.Heap().BlockBase(w)
+		if p == 0 {
 			return
 		}
 		for _, s := range slots {

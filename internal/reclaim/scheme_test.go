@@ -1,6 +1,7 @@
 package reclaim
 
 import (
+	"fmt"
 	"testing"
 
 	"threadscan/internal/core"
@@ -468,6 +469,62 @@ func TestSchemeNamesAndDisciplines(t *testing.T) {
 		}
 		if c.sc.Discipline() != c.disc {
 			t.Errorf("%s: discipline %v want %v", c.name, c.sc.Discipline(), c.disc)
+		}
+	}
+}
+
+// TestScanningSchemesResolveInteriorPointers: the conservative scan of
+// each scanning scheme keeps a node alive while a thread holds only a
+// pointer into it (&node.field), not just one to its base.  A pointer
+// one past the node's end names the next block and must not pin it.
+func TestScanningSchemesResolveInteriorPointers(t *testing.T) {
+	for _, name := range []string{"threadscan", "stacktrack"} {
+		for _, tc := range []struct {
+			off    uint64
+			pinned bool
+		}{{8, true}, {nodeSize - 8, true}, {nodeSize, false}} {
+			t.Run(fmt.Sprintf("%s/base+%d", name, tc.off), func(t *testing.T) {
+				s := testSim(2, 3)
+				sc := makeScheme(name, s)
+				var node uint64
+				holding, release, done := false, false, false
+				s.Spawn("holder", func(th *simt.Thread) {
+					sc.BeginOp(th)
+					node = allocNode(th, 0, 7)
+					th.SetReg(0, node+tc.off) // the derived pointer is the only reference
+					holding = true
+					for !release {
+						sc.Protect(th, 1, 0) // StackTrack publishes at segment ends
+						th.Pause()
+					}
+					th.SetReg(0, 0)
+					sc.EndOp(th)
+					done = true
+				})
+				s.Spawn("reclaimer", func(th *simt.Thread) {
+					for !holding {
+						th.Pause()
+					}
+					sc.BeginOp(th)
+					sc.Retire(th, node)
+					sc.EndOp(th)
+					sc.Flush(th)
+					if freed := sc.Stats().Freed == 1; freed == tc.pinned {
+						t.Errorf("holding base+%d: node freed = %v, want %v", tc.off, freed, !tc.pinned)
+					}
+					release = true
+					for !done {
+						th.Pause()
+					}
+					sc.Flush(th)
+				})
+				if err := s.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if live := s.Heap().Stats().LiveBlocks; live != 0 {
+					t.Fatalf("leaked %d", live)
+				}
+			})
 		}
 	}
 }

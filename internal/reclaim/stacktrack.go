@@ -227,7 +227,7 @@ func (st *StackTrack) reclaim(t *simt.Thread) {
 
 func (st *StackTrack) mark(t *simt.Thread, w uint64, candidates []uint64, marks []bool) {
 	c := &st.costs
-	p := w &^ 7
+	p := t.Sim().Heap().BlockBase(w) // interior and tagged pointers resolve to their node
 	t.Charge(int64(log2ceil(len(candidates)+1)) * (c.Load + c.Step))
 	if i, found := slices.BinarySearch(candidates, p); found {
 		marks[i] = true

@@ -435,3 +435,34 @@ func BenchmarkHeapLoad(b *testing.B) {
 		benchSink += h.Load(addr + uint64(i&7)*WordSize)
 	}
 }
+
+// TestBlockBase: every byte address inside a block, tagged or not,
+// resolves to the block's base; the first address past a block is the
+// next block's; addresses in no block resolve to 0.
+func TestBlockBase(t *testing.T) {
+	h := checkedHeap()
+	small := h.Alloc(24) // class of 3 words: 1024 % 3 leaves a 1-word page tail
+	span := h.Alloc(3 * PageWords * WordSize)
+	for _, tc := range []struct {
+		name       string
+		addr, want uint64
+	}{
+		{"small base", small, small},
+		{"small tagged", small | 1, small},
+		{"small interior", small + 8, small},
+		{"small last word", small + 16 + 7, small},
+		{"small one past end", small + 24, small + 24},
+		{"small page tail", small + (PageWords-1)*WordSize, 0},
+		{"span base", span, span},
+		{"span interior", span + 8, span},
+		{"span third page", span + (2*PageWords+5)*WordSize, span},
+		{"span one past end", span + 3*PageWords*WordSize, 0}, // uncarved page
+		{"below arena", h.Base() - 8, 0},
+		{"past arena", h.Limit(), 0},
+		{"nil", 0, 0},
+	} {
+		if got := h.BlockBase(tc.addr); got != tc.want {
+			t.Errorf("%s: BlockBase(%#x) = %#x, want %#x", tc.name, tc.addr, got, tc.want)
+		}
+	}
+}

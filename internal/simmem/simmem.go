@@ -650,6 +650,37 @@ func (h *Heap) blockWords(addr uint64, op string) int {
 	}
 }
 
+// BlockBase resolves addr, any byte address inside a carved block, to
+// that block's base address: the conservative scanner's interior-pointer
+// lookup, under which a word naming &node.field keeps node alive.  It
+// reads only the page map.  A size-class page rounds down to the class
+// stride; a span page walks back to its span's base page.  It returns 0
+// for an address outside the arena, in an uncarved page, or in a
+// page's tail past its last whole block.  Liveness is not consulted.
+func (h *Heap) BlockBase(addr uint64) uint64 {
+	off := addr - h.cfg.Base
+	if off >= h.span {
+		return 0
+	}
+	page := off / WordSize / PageWords
+	switch pm := h.pagemap[page]; pm {
+	case pageFree:
+		return 0
+	case pageSpanBase, pageSpanCont:
+		for h.pagemap[page] == pageSpanCont {
+			page--
+		}
+		return h.cfg.Base + page*PageWords*WordSize
+	default:
+		w := uint64(classWords[pm-1])
+		i := off / WordSize % PageWords / w * w // block's first word in its page
+		if i+w > PageWords {
+			return 0
+		}
+		return h.cfg.Base + (page*PageWords+i)*WordSize
+	}
+}
+
 // checkFree validates a free of addr and updates liveness state.  It
 // returns the block size in words.
 func (h *Heap) checkFree(addr uint64) int {
