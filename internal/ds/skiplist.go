@@ -141,9 +141,16 @@ func (sl *SkipList) descend(th *simt.Thread, level int, key uint64, predSlot int
 				currSlot = hzTravB
 			}
 			if sl.scheme.Protect(th, currSlot, rCurr) {
-				// Validate: pred.next[level] is still curr.
+				// Validate: pred.next[level] is still curr, and pred is
+				// unmarked.  A removed pred's links are frozen, so its
+				// next[level] can still name a node that was unlinked
+				// and retired before the hazard was published.
 				th.Load(rVal, rPrev, slNext+level)
 				if th.Reg(rVal) != th.Reg(rCurr) {
+					return -1
+				}
+				th.Load(rVal, rPrev, slMarked)
+				if th.Reg(rVal) != 0 {
 					return -1
 				}
 			}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 
 	"threadscan/internal/workload"
@@ -33,6 +34,31 @@ func TestInteriorPointerReprosRunClean(t *testing.T) {
 			spec = spec.Scale(20)
 			spec.DS, spec.Scheme, spec.Seed = "hash", "threadscan", tc.seed
 			spec.HeapWords, spec.OpsPerWorker = tc.heapWords, tc.opsPer
+			r, err := RunScenario(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.AccountingError != "" || r.Footprint.FinalRetiredNodes != 0 {
+				t.Fatalf("accounting %q, %d retired nodes left", r.AccountingError, r.Footprint.FinalRetiredNodes)
+			}
+		})
+	}
+}
+
+// TestSkipListHazardReprosRunClean replays the hazard-pointer skip-list
+// runs in which a traversal stood on a removed predecessor, whose frozen
+// next[level] still named a node that had since been retired and freed.
+// Validating only pred.next[level] == curr passed; the checked heap
+// caught the read of curr's key (seed 40) or the walk reached a
+// poisoned link (seed 32).  Validation now also requires pred unmarked.
+func TestSkipListHazardReprosRunClean(t *testing.T) {
+	for _, seed := range []int64{32, 40} {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			spec, ok := workload.ByName("shifting-window")
+			if !ok {
+				t.Fatal("shifting-window builtin missing")
+			}
+			spec.DS, spec.Scheme, spec.Seed = "skiplist", "hazard", seed
 			r, err := RunScenario(spec)
 			if err != nil {
 				t.Fatal(err)
