@@ -40,7 +40,7 @@ func runScenarios(args []string) {
 		steal    = fs.Int("steal", 0, "threadscan per-node steal threshold in addresses (0 = default)")
 		allocPol = fs.String("allocpolicy", "", `allocator NUMA policy: "global", "localalloc", "membind", or "interleave" ("" = scenario default)`)
 		jsonPath = fs.String("json", "-", `JSON output: "-" for stdout, else a file path`)
-		samples  = fs.Bool("samples", false, "include the full footprint time series in the JSON")
+		samples  = fs.Bool("samples", false, "include the footprint time series (and any -metrics timelines) in the JSON")
 		quietTbl = fs.Bool("no-table", false, "suppress the human-readable table on stderr")
 		trace    = fs.String("trace", "", "write a Chrome trace-event JSON of every run to this file (open in chrome://tracing or Perfetto)")
 		profile  = fs.Bool("profile", false, "print a per-stage cycle-attribution profile for every run on stderr")
@@ -193,12 +193,11 @@ func runScenarios(args []string) {
 			metricCells = append(metricCells, obs.MetricsCell{
 				Scenario: r.Name, DS: r.DS, Scheme: r.Scheme, Series: r.Metrics,
 			})
+		}
+		if !*samples {
 			// Timelines live in the metrics files; keep the results
 			// JSON the same shape with and without -metrics.
 			r.Metrics = nil
-		}
-		if !*samples {
-			r.Footprint.Samples = nil
 		}
 		results = append(results, r)
 		line := fmt.Sprintf("· %-20s %-8s %-10s %8.0f ops/vsec  peak-garbage %d words",

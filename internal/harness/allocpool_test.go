@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"testing"
 
 	"threadscan/internal/workload"
@@ -8,14 +9,14 @@ import (
 
 // runAllocPolicy runs numa-split (stack/threadscan) under one allocator
 // policy x routing regime at half scale.
-func runAllocPolicy(t *testing.T, policy string, perNode bool) ScenarioResult {
+func runAllocPolicy(t *testing.T, policy string, perNode bool, seed int64) ScenarioResult {
 	t.Helper()
 	spec, ok := workload.ByName("numa-split")
 	if !ok {
 		t.Fatal("numa-split builtin missing")
 	}
 	spec = spec.Scale(0.5)
-	spec.DS, spec.Scheme, spec.Seed = "stack", "threadscan", 1
+	spec.DS, spec.Scheme, spec.Seed = "stack", "threadscan", seed
 	spec.AllocPolicy = policy
 	spec.PerNode = perNode
 	r, err := RunScenario(spec)
@@ -38,9 +39,9 @@ func TestAllocPoolLocalallocClosesAllocLeak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocpool ablation skipped in -short")
 	}
-	globalFlat := runAllocPolicy(t, "global", false)
-	globalPN := runAllocPolicy(t, "global", true)
-	localPN := runAllocPolicy(t, "localalloc", true)
+	globalFlat := runAllocPolicy(t, "global", false, 1)
+	globalPN := runAllocPolicy(t, "global", true, 1)
+	localPN := runAllocPolicy(t, "localalloc", true, 1)
 
 	// The global pool hands out cross-resident blocks; per-node pools
 	// must not, ever.
@@ -71,16 +72,25 @@ func TestAllocPoolLocalallocClosesAllocLeak(t *testing.T) {
 			localPN.Heap.HomeFrees, localPN.Heap.RemoteFrees)
 	}
 
-	// Equal or better throughput than the global-pool configuration,
-	// and within noise of global + per-node routing (the batched
-	// remote-free flushes are the only added cost).
+	// Better throughput than the global-pool configuration, and within
+	// noise of global + per-node routing (the batched remote-free
+	// flushes are the only added cost).  The second ratio spreads over
+	// 0.85-1.22 from seed to seed, so it is stated as a median over
+	// seeds 1-10.
 	if localPN.Throughput <= globalFlat.Throughput {
 		t.Errorf("localalloc+pernode throughput %.0f not above the global pool's %.0f",
 			localPN.Throughput, globalFlat.Throughput)
 	}
-	if localPN.Throughput < 0.95*globalPN.Throughput {
-		t.Errorf("localalloc+pernode throughput %.0f fell more than 5%% below global+pernode's %.0f",
-			localPN.Throughput, globalPN.Throughput)
+	ratios := []float64{localPN.Throughput / globalPN.Throughput}
+	for seed := int64(2); seed <= 10; seed++ {
+		local := runAllocPolicy(t, "localalloc", true, seed)
+		global := runAllocPolicy(t, "global", true, seed)
+		ratios = append(ratios, local.Throughput/global.Throughput)
+	}
+	slices.Sort(ratios)
+	if med := (ratios[4] + ratios[5]) / 2; med < 0.95 {
+		t.Errorf("localalloc+pernode / global+pernode throughput: median %.3f over seeds 1-10 (range %.3f-%.3f) fell more than 5%% below parity",
+			med, ratios[0], ratios[9])
 	}
 
 	// Nothing is lost to the routing: everything retired is freed or
@@ -103,8 +113,8 @@ func TestMembindMatchesLocalallocUnderBalancedPressure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("membind contrast skipped in -short")
 	}
-	local := runAllocPolicy(t, "localalloc", true)
-	bind := runAllocPolicy(t, "membind", true)
+	local := runAllocPolicy(t, "localalloc", true, 1)
+	bind := runAllocPolicy(t, "membind", true, 1)
 	if local.TraceHash != bind.TraceHash || local.Ops != bind.Ops ||
 		local.ElapsedCycles != bind.ElapsedCycles {
 		t.Errorf("membind diverged from localalloc without region pressure:\n  trace %x/%x ops %d/%d cycles %d/%d",

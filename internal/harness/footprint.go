@@ -14,27 +14,14 @@ import (
 // A scheme with great throughput and unbounded peak garbage (Leaky is
 // the limit case) fails workloads a bounded scheme survives.
 
-// FootprintSample is one point of the time series.
-type FootprintSample struct {
-	At int64 `json:"at_cycles"` // virtual time of the sample
-
-	// LiveWords is every live allocation in the arena: structure nodes,
-	// retired-but-unreclaimed nodes, and infrastructure words.
-	LiveWords uint64 `json:"live_words"`
-
-	// RetiredNodes / RetiredWords are nodes handed to Retire and not
-	// yet returned to the allocator — the scheme's garbage at this
-	// instant (delete buffers, retire lists, orphans, leaked nodes).
-	RetiredNodes uint64 `json:"retired_nodes"`
-	RetiredWords uint64 `json:"retired_words"`
-}
-
-// Footprint is the sampled series plus its peaks.
+// Footprint is the peaks of the sampled series.  The series itself is
+// two metrics-engine series in ScenarioResult.Metrics:
+// footprint_garbage_nodes (retired, unreclaimed nodes) and
+// footprint_live_words (every live arena word: structure nodes,
+// garbage and infrastructure).
 type Footprint struct {
 	SampleEvery int64 `json:"sample_every_cycles"`
 	NodeWords   int   `json:"node_words"` // allocator words per structure node
-
-	Samples []FootprintSample `json:"samples,omitempty"`
 
 	PeakLiveWords    uint64 `json:"peak_live_words"`
 	PeakRetiredNodes uint64 `json:"peak_retired_nodes"`
@@ -68,35 +55,26 @@ type Footprint struct {
 	AccountingSkew uint64 `json:"accounting_skew,omitempty"`
 }
 
-// footprintSampler runs inside a dedicated simulated thread, sampling
-// scheme and heap counters on a virtual-time cadence.  Reading the
-// counters is host-side work (the discrete-event scheduler serializes
-// all threads, so a quiescent read is always consistent); the sampler
-// charges a token cost per sample so it occupies a core slot like a
-// real monitoring thread would.
-//
-// Storage lives in the metrics engine: the sampler pushes each point
-// into two PushedSeries — the first series migrated off ad-hoc slices
-// — and rebuilds the byte-compatible Footprint.Samples view from them
-// at teardown.  The sampling *thread* is unchanged (same spawn slot,
-// same 200-cycle charge, same cadence), so schedules and every derived
-// digest stay bit-identical to the pre-engine harness.
+// footprintSampler samples scheme and heap counters on a virtual-time
+// cadence from the scheduler's clock-advance hook: host-side reads
+// between thread quanta, never concurrent with a simulated thread, so
+// every read is consistent and sampling charges no virtual cycles.  It
+// is not a simulated thread: it registers with no scheme, holds no
+// core and answers no scan signal, so the cadence cannot change the
+// run it measures.  Its points go to two PushedSeries in the metrics
+// engine.
 type footprintSampler struct {
 	sim     *simt.Sim
 	scheme  reclaim.Scheme
 	fp      Footprint
-	stop    bool
+	next    int64 // virtual time of the next sample
 	garbSer *obs.PushedSeries
 	liveSer *obs.PushedSeries
 }
 
-// newFootprintSampler wires a sampler into m's registry.  A nil or
-// disabled engine (footprint telemetry predates the metrics flag and
-// is always on) gets a private one so there is a single storage path.
+// newFootprintSampler wires a sampler into m's registry, which must be
+// an enabled engine.
 func newFootprintSampler(sim *simt.Sim, scheme reclaim.Scheme, nodeWords int, every int64, m *obs.Metrics) *footprintSampler {
-	if !m.Enabled() {
-		m = obs.NewMetrics(0)
-	}
 	return &footprintSampler{
 		sim:     sim,
 		scheme:  scheme,
@@ -106,40 +84,23 @@ func newFootprintSampler(sim *simt.Sim, scheme reclaim.Scheme, nodeWords int, ev
 	}
 }
 
-// run is the sampler thread body: sample every SampleEvery cycles until
-// stopped, then take one final post-flush sample.
-func (f *footprintSampler) run(th *simt.Thread) {
-	for !f.stop {
-		f.sample(th)
-		next := th.Now() + f.fp.SampleEvery
-		for th.Now() < next && !f.stop {
-			th.Sleep(next - th.Now()) // re-sleep across EINTR (scan signals)
-		}
+// tick is the clock-advance hook: it samples once now reaches the next
+// sample time, then schedules the one after SampleEvery cycles later.
+func (f *footprintSampler) tick(now int64) {
+	if now < f.next {
+		return
 	}
-	f.sample(th)
+	f.sample(now)
+	f.next = now + f.fp.SampleEvery
+}
+
+// finish takes the final, post-teardown sample at now and settles the
+// end-of-run fields.
+func (f *footprintSampler) finish(now int64) {
+	f.sample(now)
 	f.fp.FinalRetiredNodes = f.garbage()
 	if f.fp.ExactPeakRetiredNodes > f.fp.PeakRetiredNodes {
 		f.fp.PeakUndercountNodes = f.fp.ExactPeakRetiredNodes - f.fp.PeakRetiredNodes
-	}
-	f.rebuildSamples()
-}
-
-// rebuildSamples materializes the legacy Footprint.Samples view from
-// the pushed series, field for field what the ad-hoc slice held.
-func (f *footprintSampler) rebuildSamples() {
-	garb, live := f.garbSer.Points(), f.liveSer.Points()
-	if len(garb) == 0 {
-		return
-	}
-	f.fp.Samples = make([]FootprintSample, len(garb))
-	for i, p := range garb {
-		retired := uint64(p.V)
-		f.fp.Samples[i] = FootprintSample{
-			At:           p.At,
-			LiveWords:    uint64(live[i].V),
-			RetiredNodes: retired,
-			RetiredWords: retired * uint64(f.fp.NodeWords),
-		}
 	}
 }
 
@@ -160,10 +121,8 @@ func (f *footprintSampler) garbage() uint64 {
 	return st.Retired - st.Freed
 }
 
-func (f *footprintSampler) sample(th *simt.Thread) {
-	th.Charge(200) // counter reads + stores
+func (f *footprintSampler) sample(at int64) {
 	retired := f.garbage()
-	at := th.Now()
 	live := f.sim.Heap().Stats().LiveBytes / 8
 	f.garbSer.Put(at, float64(retired))
 	f.liveSer.Put(at, float64(live))

@@ -3,9 +3,11 @@ package harness
 import (
 	"testing"
 
+	"threadscan/internal/obs"
 	"threadscan/internal/reclaim"
 	"threadscan/internal/simmem"
 	"threadscan/internal/simt"
+	"threadscan/internal/workload"
 )
 
 // skewScheme is a stub whose accounting is broken in the way the
@@ -30,7 +32,7 @@ func (s *skewScheme) Stats() reclaim.Stats {
 // ~1.8e19 and poison PeakRetiredNodes; the skew is recorded instead.
 func TestFootprintGarbageClampsUnderflow(t *testing.T) {
 	stub := &skewScheme{retired: 10, freed: 17}
-	f := newFootprintSampler(nil, stub, 8, 1000, nil)
+	f := newFootprintSampler(nil, stub, 8, 1000, obs.NewMetrics(0))
 	if g := f.garbage(); g != 0 {
 		t.Fatalf("garbage = %d, want 0 (clamped)", g)
 	}
@@ -48,29 +50,60 @@ func TestFootprintGarbageClampsUnderflow(t *testing.T) {
 	}
 }
 
-// TestFootprintSamplerSurvivesSkewedScheme runs the sampler thread
-// against the skewed stub end to end: peaks stay sane and the final
-// sample reports zero, not an absurd phantom graveyard.
+// TestFootprintSamplerSurvivesSkewedScheme drives the sampler's clock
+// hook against the skewed stub end to end: peaks stay sane and the
+// final sample reports zero, not an absurd phantom graveyard.
 func TestFootprintSamplerSurvivesSkewedScheme(t *testing.T) {
-	sim := simt.New(simt.Config{
-		Cores: 1, Quantum: 10_000, Seed: 1,
-		MaxCycles: 1_000_000_000,
-		Heap:      simmem.Config{Words: 1 << 16},
-	})
+	sim := simt.New(simt.Config{Cores: 1, Heap: simmem.Config{Words: 1 << 16}})
 	stub := &skewScheme{retired: 3, freed: 5}
-	f := newFootprintSampler(sim, stub, 8, 10_000, nil)
-	sim.Spawn("sampler", f.run)
-	sim.Spawn("closer", func(th *simt.Thread) {
-		th.Work(100_000)
-		f.stop = true
-	})
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
+	f := newFootprintSampler(sim, stub, 8, 10_000, obs.NewMetrics(0))
+	for now := int64(0); now < 100_000; now += 3_000 {
+		f.tick(now)
+	}
+	f.finish(100_000)
+	// Ticks every 3k cycles sample at 0, 12k, 24k, ..., 96k (each at
+	// least 10k after the last), and finish adds the final sample.
+	if n := len(f.garbSer.Points()); n != 10 {
+		t.Fatalf("%d samples, want 10", n)
 	}
 	if f.fp.PeakRetiredNodes != 0 || f.fp.FinalRetiredNodes != 0 {
 		t.Fatalf("skew leaked into peaks: %+v", f.fp)
 	}
 	if f.fp.AccountingSkew != 2 {
 		t.Fatalf("AccountingSkew = %d, want 2", f.fp.AccountingSkew)
+	}
+}
+
+// TestFootprintCadenceDoesNotPerturbRun: sampling is off the simulated
+// machine, so two runs that differ only in SampleEvery execute the same
+// schedule.  Only the number of footprint points may differ.
+func TestFootprintCadenceDoesNotPerturbRun(t *testing.T) {
+	for _, name := range []string{"uniform-baseline", "oversubscribed-churn", "realloc-local"} {
+		t.Run(name, func(t *testing.T) {
+			var runs [2]ScenarioResult
+			for i, every := range []int64{10_000, 1_000_000} {
+				spec, ok := workload.ByName(name)
+				if !ok {
+					t.Fatalf("%s builtin missing", name)
+				}
+				spec.DS, spec.Scheme, spec.Seed = "hash", "threadscan", 1
+				spec.SampleEvery = every
+				r, err := RunScenario(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs[i] = r
+			}
+			fine, coarse := runs[0], runs[1]
+			if fine.Ops != coarse.Ops || fine.ElapsedCycles != coarse.ElapsedCycles || fine.TraceHash != coarse.TraceHash {
+				t.Errorf("cadence changed the run: ops %d/%d, cycles %d/%d, trace %x/%x",
+					fine.Ops, coarse.Ops, fine.ElapsedCycles, coarse.ElapsedCycles, fine.TraceHash, coarse.TraceHash)
+			}
+			nFine := len(findSeries(t, fine.Metrics, "footprint_garbage_nodes").Points)
+			nCoarse := len(findSeries(t, coarse.Metrics, "footprint_garbage_nodes").Points)
+			if nFine <= nCoarse {
+				t.Errorf("10k-cycle cadence took %d samples, 1M-cycle %d", nFine, nCoarse)
+			}
+		})
 	}
 }

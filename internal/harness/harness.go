@@ -69,10 +69,9 @@ var schemeRegistry = []schemeEntry{
 			if delay == 0 {
 				delay = 40_000_000 // the paper's 40ms at 1 GHz
 			}
-			// The errant thread is the first worker: the footprint
-			// sampler occupies thread id 0.
+			// The errant thread is the first worker, thread id 0.
 			return reclaim.NewEpoch(sim, reclaim.EpochConfig{
-				Batch: batch, DelayCycles: delay, DelayVictim: 1, Obs: rec}), nil
+				Batch: batch, DelayCycles: delay, DelayVictim: 0, Obs: rec}), nil
 		}},
 	{name: "threadscan", differential: true,
 		build: func(sim *simt.Sim, s *workload.Scenario, batch int, rec *obs.Recorder) (reclaim.Scheme, *core.ThreadScan) {

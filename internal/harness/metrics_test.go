@@ -55,10 +55,8 @@ func TestMetricsOffIsBitIdentical(t *testing.T) {
 	})
 }
 
-// TestFootprintSeriesReconciles: the footprint sampler is the first
-// series migrated into the metrics engine; its pushed series, the
-// rebuilt legacy Samples view, and the scheme's exact running peak
-// must all tell one consistent story.
+// TestFootprintSeriesReconciles: the footprint's pushed series and the
+// scheme's exact running peak must tell one consistent story.
 func TestFootprintSeriesReconciles(t *testing.T) {
 	spec, ok := workload.ByName("per-node-reclaim")
 	if !ok {
@@ -77,26 +75,25 @@ func TestFootprintSeriesReconciles(t *testing.T) {
 		t.Fatal("footprint series has no points")
 	}
 
-	// The legacy Samples view is rebuilt from the series, field for
-	// field: same length, same timestamps, same values.
-	fp := res.Footprint
-	if len(fp.Samples) != len(garb.Points) || len(fp.Samples) != len(live.Points) {
-		t.Fatalf("sample count mismatch: %d samples vs %d garbage / %d live points",
-			len(fp.Samples), len(garb.Points), len(live.Points))
+	// Both series are sampled together: same length, same timestamps.
+	if len(garb.Points) != len(live.Points) {
+		t.Fatalf("sample count mismatch: %d garbage vs %d live points", len(garb.Points), len(live.Points))
 	}
-	for i, s := range fp.Samples {
-		if s.At != garb.Points[i].At || s.At != live.Points[i].At {
-			t.Fatalf("sample %d timestamp mismatch: %d vs %d/%d",
-				i, s.At, garb.Points[i].At, live.Points[i].At)
+	for i := range garb.Points {
+		if garb.Points[i].At != live.Points[i].At {
+			t.Fatalf("sample %d timestamp mismatch: %d vs %d", i, garb.Points[i].At, live.Points[i].At)
 		}
-		if s.RetiredNodes != uint64(garb.Points[i].V) || s.LiveWords != uint64(live.Points[i].V) {
-			t.Fatalf("sample %d value mismatch: retired %d vs %.0f, live %d vs %.0f",
-				i, s.RetiredNodes, garb.Points[i].V, s.LiveWords, live.Points[i].V)
-		}
-		if s.RetiredWords != s.RetiredNodes*uint64(fp.NodeWords) {
-			t.Fatalf("sample %d retired words %d != nodes %d * %d",
-				i, s.RetiredWords, s.RetiredNodes, fp.NodeWords)
-		}
+	}
+	fp := res.Footprint
+	if got := uint64(maxValue(live)); got != fp.PeakLiveWords {
+		t.Errorf("live series max %d != peak live words %d", got, fp.PeakLiveWords)
+	}
+	if last := garb.Points[len(garb.Points)-1]; uint64(last.V) != fp.FinalRetiredNodes {
+		t.Errorf("final sample %.0f != final retired nodes %d", last.V, fp.FinalRetiredNodes)
+	}
+	if fp.PeakRetiredWords != fp.PeakRetiredNodes*uint64(fp.NodeWords) {
+		t.Errorf("peak retired words %d != nodes %d * %d",
+			fp.PeakRetiredWords, fp.PeakRetiredNodes, fp.NodeWords)
 	}
 
 	// The sampled peak is the series maximum, and the exact scheme-side

@@ -89,10 +89,12 @@ type ScenarioResult struct {
 
 	// Metrics carries every named timeline the metrics engine sampled:
 	// one Series of (vcycle, value) points per registered source, in
-	// registration order, with steady-window digests precomputed.
-	// Present only when Scenario.MetricsEvery enabled the engine —
-	// sampling reads host-side state on clock ticks and never charges
-	// virtual cycles, so every other field is identical either way.
+	// registration order, with steady-window digests precomputed.  The
+	// footprint series (footprint_garbage_nodes, footprint_live_words)
+	// are always present; the polled sources only when
+	// Scenario.MetricsEvery enabled them.  Sampling reads host-side
+	// state on clock ticks and never charges virtual cycles, so every
+	// other field is identical either way.
 	Metrics []obs.Series `json:"metrics,omitempty"`
 
 	// Latency is the observability summary for the run: per-op latency
@@ -247,8 +249,6 @@ type scenarioRun struct {
 	ledgers  map[int]*workload.ValueLedger // thread id -> per-element push/pop counts (op-budget LIFO/FIFO runs)
 	mixOf    map[int]*workload.Mix         // thread id -> role-group mix override (nil = phase mix)
 	stalls   map[int]bool                  // thread id -> errant stall victim
-
-	sampler *footprintSampler
 }
 
 // work drives ops from base until deadline, crossing phase boundaries
@@ -458,15 +458,19 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 	}
 
 	// The metrics engine is always constructed — the footprint sampler
-	// stores its series through it — but the virtual-time ticker and
-	// the polled counter surface only attach when the scenario asked
-	// for timelines.  Ticking happens on the scheduler's clock-advance
-	// hook: host-side reads between thread quanta, zero virtual cost.
+	// stores its series through it — but the polled counter surface
+	// only attaches when the scenario asked for timelines.  Both sample
+	// on the scheduler's clock-advance hook: host-side reads between
+	// thread quanta, zero virtual cost.
 	met := obs.NewMetrics(spec.MetricsEvery)
 	if spec.MetricsEvery > 0 {
 		registerScenarioMetrics(met, sim, sc, tsCore, rec)
-		sim.OnClockAdvance(met.Tick)
 	}
+	sampler := newFootprintSampler(sim, sc, nodeWords, spec.SampleEvery, met)
+	sim.OnClockAdvance(func(now int64) {
+		sampler.tick(now)
+		met.Tick(now)
+	})
 
 	r := &scenarioRun{
 		spec:     &spec,
@@ -481,7 +485,6 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 		ledgers:  make(map[int]*workload.ValueLedger),
 		mixOf:    make(map[int]*workload.Mix),
 		stalls:   make(map[int]bool),
-		sampler:  newFootprintSampler(sim, sc, nodeWords, spec.SampleEvery, met),
 	}
 	var cum int64
 	for _, p := range spec.Phases {
@@ -496,14 +499,6 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 	}
 	startBar := sim.NewBarrier("scenario-start", participants)
 	r.mutators = nT
-
-	// The sampler spawns first (thread id 0): it must register with the
-	// reclamation scheme before the workers make the registration lock
-	// hot, or a retire-storm can starve it out of its first dispatch
-	// for the whole run (registration contends with TS-Collect, which
-	// holds the same lock — the price of mid-run registration that the
-	// churn scenarios measure on purpose; telemetry should not pay it).
-	sim.Spawn("sampler", r.sampler.run)
 
 	for i := 0; i < nT; i++ {
 		i := i
@@ -521,10 +516,9 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 			if i == 0 {
 				// Last responsibilities fall to worker 0: wait until
 				// every mutator (persistent or churned) has dropped its
-				// references, then flush the scheme and stop telemetry.
+				// references, then flush the scheme.
 				th.SpinWait(func() bool { return r.mutators <= 0 && r.spawningDone })
 				sc.Flush(th)
-				r.sampler.stop = true
 			}
 		})
 		if node := spec.WorkerNode(i); node >= 0 {
@@ -580,6 +574,7 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 		return ScenarioResult{}, fmt.Errorf("scenario %s (%s/%s): %w",
 			spec.Name, spec.DS, spec.Scheme, err)
 	}
+	sampler.finish(sim.Clock())
 
 	res := ScenarioResult{
 		Scenario:            spec,
@@ -595,22 +590,20 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 		ChurnWorkers:        r.churned,
 		LeakedRegistrations: -1,
 		Latency:             rec.Summary(),
-		Footprint:           r.sampler.fp,
+		Footprint:           sampler.fp,
 		SchemeStats:         sc.Stats(),
 		Sim:                 sim.Stats(),
 		Heap:                sim.Heap().Stats(),
 		FinalSize:           target.Size(),
 		WallTime:            wallSince(wallStart),
 	}
-	if spec.MetricsEvery > 0 {
-		res.Metrics = met.Series()
-	}
+	res.Metrics = met.Series()
 	if tsCore != nil {
 		st := tsCore.Stats()
 		res.Core = &st
 		res.LeakedRegistrations = tsCore.RegisteredThreads()
 	}
-	if skew := r.sampler.fp.AccountingSkew; skew > 0 {
+	if skew := sampler.fp.AccountingSkew; skew > 0 {
 		res.AccountingError = fmt.Sprintf(
 			"scheme %s freed %d more nodes than it retired", spec.Scheme, skew)
 	}

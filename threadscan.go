@@ -256,10 +256,9 @@ type (
 	// ScenarioResult is one scenario outcome: throughput, op-trace
 	// digest, and footprint telemetry.
 	ScenarioResult = harness.ScenarioResult
-	// Footprint is the sampled memory-robustness time series.
+	// Footprint holds the memory-robustness peaks; the sampled series
+	// are ScenarioResult.Metrics' footprint_* series.
 	Footprint = harness.Footprint
-	// FootprintSample is one point of that series.
-	FootprintSample = harness.FootprintSample
 )
 
 // Key distribution kinds.
