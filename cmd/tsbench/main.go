@@ -81,15 +81,8 @@ func main() {
 		batch    = flag.Int("batch", 0, "reclaim batch for -single (0 = the scale's default)")
 		ablScen  = flag.String("ablation-scenario", "", "comma-separated subject scenario(s) for -ablation shards/numa/pernode/allocpool/overlap/robust")
 		shardKs  = flag.String("shard-counts", "", "comma-separated K values for -ablation shards (default 1,2,4,8,16)")
-		trace    = flag.String("trace", "", "tracing is a scenarios feature; see: tsbench scenarios -trace out.json")
 	)
 	flag.Parse()
-
-	if err := validateRootTrace(*trace, *ablation); err != nil {
-		fmt.Fprintln(os.Stderr, "tsbench:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	// An unknown scheme is a usage error at parse time, not a failure
 	// after the run starts — same policy as scenario and topology names.
@@ -134,20 +127,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tsbench:", err)
 	os.Exit(1)
-}
-
-// validateRootTrace rejects -trace on the root command: traces come
-// from the scenario engine, and silently ignoring the flag on a figure
-// or ablation run would look like an empty-trace bug.  A usage error at
-// parse time, matching the topology-flag validation style.
-func validateRootTrace(trace, ablation string) error {
-	if trace == "" {
-		return nil
-	}
-	if ablation != "" {
-		return fmt.Errorf("-trace cannot be combined with -ablation: tracing is a scenarios feature (tsbench scenarios -trace %s)", trace)
-	}
-	return fmt.Errorf("-trace applies to the scenarios subcommand: tsbench scenarios -trace %s", trace)
 }
 
 func parseScale(s string) harness.Scale {

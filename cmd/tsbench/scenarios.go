@@ -40,13 +40,12 @@ func runScenarios(args []string) {
 		steal    = fs.Int("steal", 0, "threadscan per-node steal threshold in addresses (0 = default)")
 		allocPol = fs.String("allocpolicy", "", `allocator NUMA policy: "global", "localalloc", "membind", or "interleave" ("" = scenario default)`)
 		jsonPath = fs.String("json", "-", `JSON output: "-" for stdout, else a file path`)
-		samples  = fs.Bool("samples", false, "include the footprint time series (and any -metrics timelines) in the JSON")
+		samples  = fs.Bool("samples", false, "include every run's metrics timelines in the JSON")
 		quietTbl = fs.Bool("no-table", false, "suppress the human-readable table on stderr")
 		trace    = fs.String("trace", "", "write a Chrome trace-event JSON of every run to this file (open in chrome://tracing or Perfetto)")
 		profile  = fs.Bool("profile", false, "print a per-stage cycle-attribution profile for every run on stderr")
 		metrics  = fs.String("metrics", "", "write per-series virtual-time timelines for every grid cell as JSON to this file (read back with `tsbench timeline` / `tsbench metrics-diff`)")
 		metCSV   = fs.String("metrics-csv", "", "also write the timelines in long CSV format (one row per point)")
-		metEvery = fs.Int64("metrics-every", 0, "metrics sampling interval in virtual cycles (0 = footprint cadence; only meaningful with -metrics/-metrics-csv)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: tsbench scenarios [flags]")
@@ -96,25 +95,13 @@ func runScenarios(args []string) {
 		usageErr(err)
 	}
 
-	// The trace file opens before anything runs for the same reason: an
-	// unwritable path must fail as a usage error, not after the grid.
-	var traceFile *os.File
-	if *trace != "" {
-		traceFile, err = createTraceFile(*trace)
-		if err != nil {
-			usageErr(err)
-		}
-		defer traceFile.Close()
+	// The output files open before anything runs for the same reason:
+	// an unwritable path must fail as a usage error, not after the grid.
+	traceFile, err := createOutFile("-trace", *trace)
+	if err != nil {
+		usageErr(err)
 	}
-	// Same policy for the metrics outputs; -metrics-every without an
-	// output would silently sample into the void, so it is an error.
 	collectMetrics := *metrics != "" || *metCSV != ""
-	if *metEvery < 0 {
-		usageErr(fmt.Errorf("-metrics-every %d: interval cannot be negative", *metEvery))
-	}
-	if *metEvery > 0 && !collectMetrics {
-		usageErr(fmt.Errorf("-metrics-every needs an output: add -metrics out.json or -metrics-csv out.csv"))
-	}
 	metricsFile, err := createOutFile("-metrics", *metrics)
 	if err != nil {
 		usageErr(err)
@@ -154,12 +141,6 @@ func runScenarios(args []string) {
 		}
 		if *allocPol != "" {
 			spec.AllocPolicy = *allocPol
-		}
-		if collectMetrics {
-			spec.MetricsEvery = *metEvery
-			if spec.MetricsEvery == 0 {
-				spec.MetricsEvery = -1 // resolve to footprint cadence in Fill
-			}
 		}
 		rec := obs.NewRecorder()
 		if traceFile != nil {
@@ -290,18 +271,9 @@ func resolveScenarios(names string) ([]workload.Scenario, error) {
 	return specs, nil
 }
 
-// createTraceFile opens the -trace output for writing, wrapping any
-// failure so the caller can report it as a flag usage error.
-func createTraceFile(path string) (*os.File, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("-trace: %w", err)
-	}
-	return f, nil
-}
-
 // createOutFile opens an optional output path up front (nil when the
-// flag is unset), wrapping failures as usage errors like -trace.
+// flag is unset), wrapping any failure in the flag's name so the caller
+// can report it as a usage error.
 func createOutFile(flagName, path string) (*os.File, error) {
 	if path == "" {
 		return nil, nil

@@ -111,37 +111,20 @@ func TestResolveScenarios(t *testing.T) {
 	}
 }
 
-// createTraceFile must surface an unwritable -trace path as a usage
-// error at parse time, before minutes of simulation run for nothing.
+// The -trace output must surface an unwritable path as a usage error
+// at parse time, before minutes of simulation run for nothing.
 func TestCreateTraceFile(t *testing.T) {
-	if _, err := createTraceFile("/no/such/dir/trace.json"); err == nil ||
+	if _, err := createOutFile("-trace", "/no/such/dir/trace.json"); err == nil ||
 		!strings.Contains(err.Error(), "-trace") {
 		t.Fatalf("unwritable path: err %v, want -trace usage error", err)
 	}
 	path := t.TempDir() + "/trace.json"
-	f, err := createTraceFile(path)
+	f, err := createOutFile("-trace", path)
 	if err != nil {
 		t.Fatalf("writable path: %v", err)
 	}
 	f.Close()
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("trace file not created: %v", err)
-	}
-}
-
-// The root command owns no tracer: -trace there is a usage error that
-// redirects to the scenarios subcommand (and names the -ablation
-// conflict explicitly).
-func TestValidateRootTrace(t *testing.T) {
-	if err := validateRootTrace("", "stall"); err != nil {
-		t.Fatalf("no -trace: unexpected error %v", err)
-	}
-	if err := validateRootTrace("out.json", "stall"); err == nil ||
-		!strings.Contains(err.Error(), "cannot be combined with -ablation") {
-		t.Fatalf("-trace with -ablation: err %v", err)
-	}
-	if err := validateRootTrace("out.json", ""); err == nil ||
-		!strings.Contains(err.Error(), "applies to the scenarios subcommand") {
-		t.Fatalf("-trace alone: err %v", err)
 	}
 }

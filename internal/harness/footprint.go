@@ -3,7 +3,6 @@ package harness
 import (
 	"threadscan/internal/obs"
 	"threadscan/internal/reclaim"
-	"threadscan/internal/simt"
 )
 
 // Memory-footprint telemetry: the Hyaline-style robustness metric.
@@ -15,10 +14,9 @@ import (
 // the limit case) fails workloads a bounded scheme survives.
 
 // Footprint is the peaks of the sampled series.  The series itself is
-// two metrics-engine series in ScenarioResult.Metrics:
-// footprint_garbage_nodes (retired, unreclaimed nodes) and
-// footprint_live_words (every live arena word: structure nodes,
-// garbage and infrastructure).
+// two metrics-engine gauges in ScenarioResult.Metrics: garbage_nodes
+// (retired, unreclaimed nodes) and live_words (every live arena word:
+// structure nodes, garbage and infrastructure).
 type Footprint struct {
 	SampleEvery int64 `json:"sample_every_cycles"`
 	NodeWords   int   `json:"node_words"` // allocator words per structure node
@@ -50,87 +48,50 @@ type Footprint struct {
 	// AccountingSkew is the largest Freed-minus-Retired excess any
 	// sample observed.  A sound scheme never frees more than was
 	// retired, so nonzero skew flags broken scheme accounting; the
-	// sampler clamps the garbage estimate at zero instead of letting
-	// the uint64 subtraction wrap to ~1.8e19 and poison the peaks.
+	// garbage_nodes gauge clamps at zero instead of letting the uint64
+	// subtraction wrap to ~1.8e19 and poison the peaks.
 	AccountingSkew uint64 `json:"accounting_skew,omitempty"`
 }
 
-// footprintSampler samples scheme and heap counters on a virtual-time
-// cadence from the scheduler's clock-advance hook: host-side reads
-// between thread quanta, never concurrent with a simulated thread, so
-// every read is consistent and sampling charges no virtual cycles.  It
-// is not a simulated thread: it registers with no scheme, holds no
-// core and answers no scan signal, so the cadence cannot change the
-// run it measures.  Its points go to two PushedSeries in the metrics
-// engine.
-type footprintSampler struct {
-	sim     *simt.Sim
-	scheme  reclaim.Scheme
-	fp      Footprint
-	next    int64 // virtual time of the next sample
-	garbSer *obs.PushedSeries
-	liveSer *obs.PushedSeries
-}
-
-// newFootprintSampler wires a sampler into m's registry, which must be
-// an enabled engine.
-func newFootprintSampler(sim *simt.Sim, scheme reclaim.Scheme, nodeWords int, every int64, m *obs.Metrics) *footprintSampler {
-	return &footprintSampler{
-		sim:     sim,
-		scheme:  scheme,
-		fp:      Footprint{SampleEvery: every, NodeWords: nodeWords},
-		garbSer: m.Pushed("footprint_garbage_nodes", obs.SeriesGauge),
-		liveSer: m.Pushed("footprint_live_words", obs.SeriesGauge),
-	}
-}
-
-// tick is the clock-advance hook: it samples once now reaches the next
-// sample time, then schedules the one after SampleEvery cycles later.
-func (f *footprintSampler) tick(now int64) {
-	if now < f.next {
-		return
-	}
-	f.sample(now)
-	f.next = now + f.fp.SampleEvery
-}
-
-// finish takes the final, post-teardown sample at now and settles the
-// end-of-run fields.
-func (f *footprintSampler) finish(now int64) {
-	f.sample(now)
-	f.fp.FinalRetiredNodes = f.garbage()
-	if f.fp.ExactPeakRetiredNodes > f.fp.PeakRetiredNodes {
-		f.fp.PeakUndercountNodes = f.fp.ExactPeakRetiredNodes - f.fp.PeakRetiredNodes
-	}
-}
-
-func (f *footprintSampler) garbage() uint64 {
-	st := f.scheme.Stats()
-	if st.PeakRetired > f.fp.ExactPeakRetiredNodes {
-		f.fp.ExactPeakRetiredNodes = st.PeakRetired
-		f.fp.ExactPeakRetiredWords = st.PeakRetired * uint64(f.fp.NodeWords)
-	}
+// garbageNodes is the garbage_nodes gauge: retired, unreclaimed nodes.
+// A scheme reporting more frees than retires reads as zero garbage, and
+// the excess raises *skew instead (the run surfaces it as an error).
+func garbageNodes(st reclaim.Stats, skew *uint64) uint64 {
 	if st.Freed > st.Retired {
-		// Scheme accounting skew: record it (the run surfaces it as an
-		// error) and clamp rather than wrap.
-		if skew := st.Freed - st.Retired; skew > f.fp.AccountingSkew {
-			f.fp.AccountingSkew = skew
-		}
+		*skew = max(*skew, st.Freed-st.Retired)
 		return 0
 	}
 	return st.Retired - st.Freed
 }
 
-func (f *footprintSampler) sample(at int64) {
-	retired := f.garbage()
-	live := f.sim.Heap().Stats().LiveBytes / 8
-	f.garbSer.Put(at, float64(retired))
-	f.liveSer.Put(at, float64(live))
-	if live > f.fp.PeakLiveWords {
-		f.fp.PeakLiveWords = live
+// settle reads the peaks off the engine's exported garbage_nodes and
+// live_words series, after its final post-teardown row, and the exact
+// peak off the scheme's running maximum.
+func (fp *Footprint) settle(series []obs.Series, st reclaim.Stats) {
+	for _, s := range series {
+		switch s.Name {
+		case "garbage_nodes":
+			fp.PeakRetiredNodes = uint64(seriesMax(s))
+			if n := len(s.Points); n > 0 {
+				fp.FinalRetiredNodes = uint64(s.Points[n-1].V)
+			}
+		case "live_words":
+			fp.PeakLiveWords = uint64(seriesMax(s))
+		}
 	}
-	if retired > f.fp.PeakRetiredNodes {
-		f.fp.PeakRetiredNodes = retired
-		f.fp.PeakRetiredWords = retired * uint64(f.fp.NodeWords)
+	nw := uint64(fp.NodeWords)
+	fp.PeakRetiredWords = fp.PeakRetiredNodes * nw
+	fp.ExactPeakRetiredNodes = st.PeakRetired
+	fp.ExactPeakRetiredWords = st.PeakRetired * nw
+	if fp.ExactPeakRetiredNodes > fp.PeakRetiredNodes {
+		fp.PeakUndercountNodes = fp.ExactPeakRetiredNodes - fp.PeakRetiredNodes
 	}
+}
+
+func seriesMax(s obs.Series) float64 {
+	var mx float64
+	for _, p := range s.Points {
+		mx = max(mx, p.V)
+	}
+	return mx
 }

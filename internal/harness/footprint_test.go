@@ -31,52 +31,57 @@ func (s *skewScheme) Stats() reclaim.Stats {
 // Retired must read as zero garbage, not wrap the uint64 subtraction to
 // ~1.8e19 and poison PeakRetiredNodes; the skew is recorded instead.
 func TestFootprintGarbageClampsUnderflow(t *testing.T) {
-	stub := &skewScheme{retired: 10, freed: 17}
-	f := newFootprintSampler(nil, stub, 8, 1000, obs.NewMetrics(0))
-	if g := f.garbage(); g != 0 {
+	var skew uint64
+	st := reclaim.Stats{Retired: 10, Freed: 17}
+	if g := garbageNodes(st, &skew); g != 0 {
 		t.Fatalf("garbage = %d, want 0 (clamped)", g)
 	}
-	if f.fp.AccountingSkew != 7 {
-		t.Fatalf("AccountingSkew = %d, want 7", f.fp.AccountingSkew)
+	if skew != 7 {
+		t.Fatalf("skew = %d, want 7", skew)
 	}
 	// The skew high-water mark tracks the worst observation.
-	stub.freed = 13
-	if f.garbage() != 0 || f.fp.AccountingSkew != 7 {
-		t.Fatalf("skew high-water mark regressed: %+v", f.fp)
+	st.Freed = 13
+	if garbageNodes(st, &skew) != 0 || skew != 7 {
+		t.Fatalf("skew high-water mark regressed: %d", skew)
 	}
-	stub.freed = 9
-	if g := f.garbage(); g != 1 {
+	st.Freed = 9
+	if g := garbageNodes(st, &skew); g != 1 {
 		t.Fatalf("garbage = %d, want 1 once accounting recovers", g)
 	}
 }
 
-// TestFootprintSamplerSurvivesSkewedScheme drives the sampler's clock
-// hook against the skewed stub end to end: peaks stay sane and the
-// final sample reports zero, not an absurd phantom graveyard.
+// TestFootprintSamplerSurvivesSkewedScheme drives the metrics engine's
+// clock hook against the skewed stub end to end: peaks stay sane and
+// the final sample reports zero, not an absurd phantom graveyard.
 func TestFootprintSamplerSurvivesSkewedScheme(t *testing.T) {
 	sim := simt.New(simt.Config{Cores: 1, Heap: simmem.Config{Words: 1 << 16}})
 	stub := &skewScheme{retired: 3, freed: 5}
-	f := newFootprintSampler(sim, stub, 8, 10_000, obs.NewMetrics(0))
+	fp := Footprint{SampleEvery: 10_000, NodeWords: 8}
+	met := obs.NewMetrics(fp.SampleEvery)
+	registerScenarioMetrics(met, sim, stub, nil, nil, &fp.AccountingSkew)
 	for now := int64(0); now < 100_000; now += 3_000 {
-		f.tick(now)
+		met.Tick(now)
 	}
-	f.finish(100_000)
-	// Ticks every 3k cycles sample at 0, 12k, 24k, ..., 96k (each at
-	// least 10k after the last), and finish adds the final sample.
-	if n := len(f.garbSer.Points()); n != 10 {
+	met.Finish(100_000)
+	series := met.Series()
+	fp.settle(series, stub.Stats())
+	// Ticks every 3k cycles cross the boundaries 10k, 20k, ..., 90k,
+	// and Finish adds the final row at 100k.
+	if n := len(findSeries(t, series, "garbage_nodes").Points); n != 10 {
 		t.Fatalf("%d samples, want 10", n)
 	}
-	if f.fp.PeakRetiredNodes != 0 || f.fp.FinalRetiredNodes != 0 {
-		t.Fatalf("skew leaked into peaks: %+v", f.fp)
+	if fp.PeakRetiredNodes != 0 || fp.FinalRetiredNodes != 0 {
+		t.Fatalf("skew leaked into peaks: %+v", fp)
 	}
-	if f.fp.AccountingSkew != 2 {
-		t.Fatalf("AccountingSkew = %d, want 2", f.fp.AccountingSkew)
+	if fp.AccountingSkew != 2 {
+		t.Fatalf("AccountingSkew = %d, want 2", fp.AccountingSkew)
 	}
 }
 
 // TestFootprintCadenceDoesNotPerturbRun: sampling is off the simulated
-// machine, so two runs that differ only in SampleEvery execute the same
-// schedule.  Only the number of footprint points may differ.
+// machine, so two runs that differ only in SampleEvery — the cadence of
+// every polled series — execute the same schedule.  Only the number of
+// points may differ.
 func TestFootprintCadenceDoesNotPerturbRun(t *testing.T) {
 	for _, name := range []string{"uniform-baseline", "oversubscribed-churn", "realloc-local"} {
 		t.Run(name, func(t *testing.T) {
@@ -99,8 +104,8 @@ func TestFootprintCadenceDoesNotPerturbRun(t *testing.T) {
 				t.Errorf("cadence changed the run: ops %d/%d, cycles %d/%d, trace %x/%x",
 					fine.Ops, coarse.Ops, fine.ElapsedCycles, coarse.ElapsedCycles, fine.TraceHash, coarse.TraceHash)
 			}
-			nFine := len(findSeries(t, fine.Metrics, "footprint_garbage_nodes").Points)
-			nCoarse := len(findSeries(t, coarse.Metrics, "footprint_garbage_nodes").Points)
+			nFine := len(findSeries(t, fine.Metrics, "garbage_nodes").Points)
+			nCoarse := len(findSeries(t, coarse.Metrics, "garbage_nodes").Points)
 			if nFine <= nCoarse {
 				t.Errorf("10k-cycle cadence took %d samples, 1M-cycle %d", nFine, nCoarse)
 			}

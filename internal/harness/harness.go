@@ -5,7 +5,8 @@
 // proves that no free was unsound.  On top of the engine sit the
 // figure sweeps (RunFig3, RunFig4), the design-choice ablations A1-A10
 // (one declaration each in Ablations; `tsbench -ablation`, see the
-// README's "tsbench" section) and the memory-footprint sampler.
+// README's "tsbench" section) and the metrics wiring the memory
+// footprint is read from.
 //
 // The paper's methodology is one scenario shape (PaperScenario): a
 // sorted-set workload with a 20% update ratio (half inserts, half

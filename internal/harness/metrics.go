@@ -9,18 +9,16 @@ import (
 
 // Metrics wiring: registers the run's counter surface — scheme, core
 // pipeline, scheduler, allocator, and latency histograms — as named
-// timelines on the metrics engine.  Registration is cold-path (before
-// sim.Run); the closures built here are only *read* by the engine's
-// ticker, never charge virtual cycles, and therefore cannot perturb
-// the schedule (TestMetricsOffIsBitIdentical holds the receipt).
+// timelines on the metrics engine, the run's one sampler.  Registration
+// is cold-path (before sim.Run); the closures built here are only
+// *read* by the engine's ticker, never charge virtual cycles, and
+// therefore cannot perturb the schedule
+// (TestFootprintCadenceDoesNotPerturbRun holds the receipt).
 //
 // Series names are part of the exported-metrics contract: CI's smoke
-// test and the metrics-diff baselines key on them.
-func registerScenarioMetrics(m *obs.Metrics, sim *simt.Sim, sc reclaim.Scheme, tsCore *core.ThreadScan, rec *obs.Recorder) {
-	if !m.Enabled() {
-		return
-	}
-
+// test, the metrics-diff baselines and Footprint.settle key on them.
+// The garbage_nodes gauge records any Freed > Retired excess in *skew.
+func registerScenarioMetrics(m *obs.Metrics, sim *simt.Sim, sc reclaim.Scheme, tsCore *core.ThreadScan, rec *obs.Recorder, skew *uint64) {
 	// Progress: the cumulative op total across every thread spawned so
 	// far, plus its windowed view (ops per window = throughput shape).
 	opsNow := func() uint64 {
@@ -33,18 +31,10 @@ func registerScenarioMetrics(m *obs.Metrics, sim *simt.Sim, sc reclaim.Scheme, t
 	m.Counter("ops", opsNow)
 	m.Rate("throughput", opsNow)
 
-	// Scheme garbage accounting — the bounded-footprint axis.  The
-	// gauge clamps Freed > Retired skew to zero exactly like the
-	// footprint sampler does, so the two garbage views agree.
+	// Scheme garbage accounting — the bounded-footprint axis.
 	m.Counter("retired", func() uint64 { return sc.Stats().Retired })
 	m.Counter("freed", func() uint64 { return sc.Stats().Freed })
-	m.Gauge("garbage_nodes", func() float64 {
-		st := sc.Stats()
-		if st.Freed > st.Retired {
-			return 0
-		}
-		return float64(st.Retired - st.Freed)
-	})
+	m.Gauge("garbage_nodes", func() float64 { return float64(garbageNodes(sc.Stats(), skew)) })
 	m.Counter("grace_waits", func() uint64 { return sc.Stats().GraceWaits })
 	m.Counter("grace_wait_cycles", func() uint64 { return uint64(sc.Stats().GraceWaitCycles) })
 
@@ -71,8 +61,21 @@ func registerScenarioMetrics(m *obs.Metrics, sim *simt.Sim, sc reclaim.Scheme, t
 
 	// Windowed latency quantiles from the recorder's cumulative per-op
 	// histogram: each point digests only that window's observations.
+	// Merging every thread's histogram is the costliest read here, so
+	// both quantiles share one merge per sample, and a window in which
+	// no op completed keeps the last one.
 	if rec.Enabled() {
-		m.Quantile("op_p50", 0.50, func(h *obs.Hist) { rec.MergeStageInto(obs.StageOp, h) })
-		m.Quantile("op_p99", 0.99, func(h *obs.Hist) { rec.MergeStageInto(obs.StageOp, h) })
+		var merged obs.Hist
+		opHist := func(h *obs.Hist) {
+			if rec.StageCount(obs.StageOp) != merged.Count() {
+				merged.Reset()
+				rec.MergeStageInto(obs.StageOp, &merged)
+			}
+			if h.Count() != merged.Count() {
+				*h = merged
+			}
+		}
+		m.Quantile("op_p50", 0.50, opHist)
+		m.Quantile("op_p99", 0.99, opHist)
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"threadscan/internal/obs"
@@ -29,34 +30,11 @@ func maxValue(s obs.Series) float64 {
 	return mx
 }
 
-// TestMetricsOffIsBitIdentical: the metrics engine's safety contract.
-// Replaying the captured baseline with full metrics sampling enabled
-// (every registered series ticking on the footprint cadence) must
-// reproduce every virtual-cycle result bit-identically: samplers read
-// state on clock advance but never charge cycles, so the schedule —
-// and therefore ops, elapsed cycles, trace hash, and final size —
-// cannot move.  Only host-side memory differs.
-func TestMetricsOffIsBitIdentical(t *testing.T) {
-	replayBaseline(t, [][3]string{
-		{"uniform-baseline", "list", "threadscan"},
-		{"delete-storm", "stack", "epoch"},
-		{"thread-churn", "queue", "threadscan"},
-		{"numa-split", "stack", "threadscan"},
-	}, replayMode{
-		run: func(spec workload.Scenario) (ScenarioResult, error) {
-			spec.MetricsEvery = -1 // full sampling on the footprint cadence
-			return RunScenarioRecorded(spec, obs.NewRecorder())
-		},
-		check: func(t *testing.T, r ScenarioResult) {
-			if len(r.Metrics) == 0 {
-				t.Error("metrics were requested but no series came back — test proves nothing")
-			}
-		},
-	})
-}
-
-// TestFootprintSeriesReconciles: the footprint's pushed series and the
-// scheme's exact running peak must tell one consistent story.
+// TestFootprintSeriesReconciles: the metrics engine is the run's one
+// sampler.  Every exported series shares one time axis, the footprint
+// peaks are the maxima of the garbage_nodes and live_words series, and
+// the scheme's exact running peak reconciles with the sampled one
+// through the recorded undercount.
 func TestFootprintSeriesReconciles(t *testing.T) {
 	spec, ok := workload.ByName("per-node-reclaim")
 	if !ok {
@@ -64,29 +42,41 @@ func TestFootprintSeriesReconciles(t *testing.T) {
 	}
 	spec = spec.Scale(0.25)
 	spec.DS, spec.Scheme, spec.Seed = "stack", "threadscan", 1
-	spec.MetricsEvery = -1
 	res, err := RunScenario(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	garb := findSeries(t, res.Metrics, "footprint_garbage_nodes")
-	live := findSeries(t, res.Metrics, "footprint_live_words")
+	garb := findSeries(t, res.Metrics, "garbage_nodes")
+	live := findSeries(t, res.Metrics, "live_words")
 	if len(garb.Points) == 0 {
-		t.Fatal("footprint series has no points")
+		t.Fatal("garbage series has no points")
 	}
 
-	// Both series are sampled together: same length, same timestamps.
-	if len(garb.Points) != len(live.Points) {
-		t.Fatalf("sample count mismatch: %d garbage vs %d live points", len(garb.Points), len(live.Points))
-	}
-	for i := range garb.Points {
-		if garb.Points[i].At != live.Points[i].At {
-			t.Fatalf("sample %d timestamp mismatch: %d vs %d", i, garb.Points[i].At, live.Points[i].At)
+	// One sampler, one time axis: every series (the windowed op
+	// quantiles included) has a point at each of garbage_nodes' times.
+	findSeries(t, res.Metrics, "op_p99")
+	for _, s := range res.Metrics {
+		if strings.HasPrefix(s.Name, "footprint_") {
+			t.Errorf("second footprint series %q exported", s.Name)
+		}
+		if len(s.Points) != len(garb.Points) {
+			t.Errorf("%s: %d points, garbage_nodes has %d", s.Name, len(s.Points), len(garb.Points))
+			continue
+		}
+		for i := range s.Points {
+			if s.Points[i].At != garb.Points[i].At {
+				t.Errorf("%s: point %d at %d, garbage_nodes at %d", s.Name, i, s.Points[i].At, garb.Points[i].At)
+				break
+			}
 		}
 	}
+
 	fp := res.Footprint
 	if got := uint64(maxValue(live)); got != fp.PeakLiveWords {
 		t.Errorf("live series max %d != peak live words %d", got, fp.PeakLiveWords)
+	}
+	if got := uint64(maxValue(garb)); got != fp.PeakRetiredNodes {
+		t.Errorf("garbage series max %d != sampled peak %d", got, fp.PeakRetiredNodes)
 	}
 	if last := garb.Points[len(garb.Points)-1]; uint64(last.V) != fp.FinalRetiredNodes {
 		t.Errorf("final sample %.0f != final retired nodes %d", last.V, fp.FinalRetiredNodes)
@@ -95,11 +85,8 @@ func TestFootprintSeriesReconciles(t *testing.T) {
 		t.Errorf("peak retired words %d != nodes %d * %d",
 			fp.PeakRetiredWords, fp.PeakRetiredNodes, fp.NodeWords)
 	}
-
-	// The sampled peak is the series maximum, and the exact scheme-side
-	// peak reconciles with it through the recorded undercount.
-	if got := uint64(maxValue(garb)); got != fp.PeakRetiredNodes {
-		t.Errorf("series max %d != sampled peak %d", got, fp.PeakRetiredNodes)
+	if fp.ExactPeakRetiredNodes != res.SchemeStats.PeakRetired {
+		t.Errorf("exact peak %d != scheme running peak %d", fp.ExactPeakRetiredNodes, res.SchemeStats.PeakRetired)
 	}
 	if fp.ExactPeakRetiredNodes < fp.PeakRetiredNodes {
 		t.Errorf("exact peak %d below sampled peak %d — exact tracking broken",
@@ -121,14 +108,13 @@ func TestMetricsSeriesPresent(t *testing.T) {
 	}
 	spec = spec.Scale(0.25)
 	spec.DS, spec.Scheme, spec.Seed = "stack", "threadscan", 1
-	spec.MetricsEvery = -1
 	res, err := RunScenarioRecorded(spec, obs.NewRecorder())
 	if err != nil {
 		t.Fatal(err)
 	}
 	named := []string{
 		"ops", "throughput", "garbage_nodes", "op_p99",
-		"remote_line_fills", "steals", "footprint_garbage_nodes",
+		"remote_line_fills", "steals", "live_words",
 	}
 	nonEmpty := 0
 	for _, s := range res.Metrics {
@@ -179,7 +165,6 @@ func TestRobustContrastOverTime(t *testing.T) {
 		}
 		spec.DS, spec.Scheme, spec.Seed = "list", scheme, 1
 		spec.StallCycles = 6_000_000
-		spec.MetricsEvery = -1
 		res, err := RunScenario(spec)
 		if err != nil {
 			t.Fatal(err)

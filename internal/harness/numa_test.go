@@ -18,7 +18,9 @@ func TestFlatModelMatchesCapturedBaseline(t *testing.T) {
 	// bit-identical, the per-node refactor's safety contract.  The two
 	// extra list rows walk the list under snips racing collects and
 	// under signals to descheduled walkers.  (`tsbench golden` replays
-	// the full grid in CI; this keeps `go test` minutes-free.)
+	// the full grid in CI; this keeps `go test` minutes-free.)  Every
+	// run samples its metrics timelines, so the replay also holds the
+	// engine's zero-virtual-cost contract.
 	replayBaseline(t, [][3]string{
 		{"uniform-baseline", "list", "threadscan"},
 		{"delete-storm", "list", "threadscan"},
@@ -26,7 +28,11 @@ func TestFlatModelMatchesCapturedBaseline(t *testing.T) {
 		{"delete-storm", "stack", "epoch"},
 		{"thread-churn", "queue", "threadscan"},
 		{"numa-split", "stack", "threadscan"},
-	}, replayMode{run: RunScenario})
+	}, replayMode{run: RunScenario, check: func(t *testing.T, r ScenarioResult) {
+		if len(r.Metrics) == 0 {
+			t.Error("run carries no metrics series")
+		}
+	}})
 }
 
 // TestNUMAAffinityBeatsRoundRobin (the A6 claim): on the numa-split

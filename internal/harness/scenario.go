@@ -80,7 +80,7 @@ type ScenarioResult struct {
 	// other schemes).
 	LeakedRegistrations int `json:"leaked_registrations"`
 
-	// AccountingError is set when the footprint sampler caught the
+	// AccountingError is set when the garbage_nodes gauge caught the
 	// scheme reporting more nodes freed than retired (the skew is also
 	// in Footprint.AccountingSkew).  Empty for a sound scheme.
 	AccountingError string `json:"accounting_error,omitempty"`
@@ -89,12 +89,12 @@ type ScenarioResult struct {
 
 	// Metrics carries every named timeline the metrics engine sampled:
 	// one Series of (vcycle, value) points per registered source, in
-	// registration order, with steady-window digests precomputed.  The
-	// footprint series (footprint_garbage_nodes, footprint_live_words)
-	// are always present; the polled sources only when
-	// Scenario.MetricsEvery enabled them.  Sampling reads host-side
-	// state on clock ticks and never charges virtual cycles, so every
-	// other field is identical either way.
+	// registration order, with steady-window digests precomputed, every
+	// series on the same SampleEvery time axis and ending in one
+	// post-teardown row.  Footprint's sampled peaks are the maxima of
+	// garbage_nodes and live_words.  Sampling reads host-side state on
+	// clock ticks and never charges virtual cycles, so the cadence
+	// changes no other field.
 	Metrics []obs.Series `json:"metrics,omitempty"`
 
 	// Latency is the observability summary for the run: per-op latency
@@ -457,20 +457,15 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 		return ScenarioResult{}, err
 	}
 
-	// The metrics engine is always constructed — the footprint sampler
-	// stores its series through it — but the polled counter surface
-	// only attaches when the scenario asked for timelines.  Both sample
-	// on the scheduler's clock-advance hook: host-side reads between
-	// thread quanta, zero virtual cost.
-	met := obs.NewMetrics(spec.MetricsEvery)
-	if spec.MetricsEvery > 0 {
-		registerScenarioMetrics(met, sim, sc, tsCore, rec)
-	}
-	sampler := newFootprintSampler(sim, sc, nodeWords, spec.SampleEvery, met)
-	sim.OnClockAdvance(func(now int64) {
-		sampler.tick(now)
-		met.Tick(now)
-	})
+	// The metrics engine is the run's one sampler: every series, the
+	// garbage_nodes and live_words gauges the footprint peaks are read
+	// from included, samples on SampleEvery boundaries from the
+	// scheduler's clock-advance hook — host-side reads between thread
+	// quanta, zero virtual cost.
+	fp := Footprint{SampleEvery: spec.SampleEvery, NodeWords: nodeWords}
+	met := obs.NewMetrics(spec.SampleEvery)
+	registerScenarioMetrics(met, sim, sc, tsCore, rec, &fp.AccountingSkew)
+	sim.OnClockAdvance(met.Tick)
 
 	r := &scenarioRun{
 		spec:     &spec,
@@ -574,7 +569,9 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 		return ScenarioResult{}, fmt.Errorf("scenario %s (%s/%s): %w",
 			spec.Name, spec.DS, spec.Scheme, err)
 	}
-	sampler.finish(sim.Clock())
+	met.Finish(sim.Clock())
+	series := met.Series()
+	fp.settle(series, sc.Stats())
 
 	res := ScenarioResult{
 		Scenario:            spec,
@@ -590,20 +587,20 @@ func RunScenarioRecorded(spec workload.Scenario, rec *obs.Recorder) (ScenarioRes
 		ChurnWorkers:        r.churned,
 		LeakedRegistrations: -1,
 		Latency:             rec.Summary(),
-		Footprint:           sampler.fp,
+		Footprint:           fp,
+		Metrics:             series,
 		SchemeStats:         sc.Stats(),
 		Sim:                 sim.Stats(),
 		Heap:                sim.Heap().Stats(),
 		FinalSize:           target.Size(),
 		WallTime:            wallSince(wallStart),
 	}
-	res.Metrics = met.Series()
 	if tsCore != nil {
 		st := tsCore.Stats()
 		res.Core = &st
 		res.LeakedRegistrations = tsCore.RegisteredThreads()
 	}
-	if skew := sampler.fp.AccountingSkew; skew > 0 {
+	if skew := fp.AccountingSkew; skew > 0 {
 		res.AccountingError = fmt.Sprintf(
 			"scheme %s freed %d more nodes than it retired", spec.Scheme, skew)
 	}

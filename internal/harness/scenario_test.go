@@ -38,7 +38,7 @@ func TestRunScenarioBasics(t *testing.T) {
 				if r.Ops == 0 || r.Throughput <= 0 {
 					t.Fatalf("empty result: ops=%d tput=%f", r.Ops, r.Throughput)
 				}
-				if n := len(findSeries(t, r.Metrics, "footprint_garbage_nodes").Points); n < 4 {
+				if n := len(findSeries(t, r.Metrics, "garbage_nodes").Points); n < 4 {
 					t.Fatalf("footprint barely sampled: %d points", n)
 				}
 				st := r.SchemeStats

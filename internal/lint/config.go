@@ -95,22 +95,18 @@ func DefaultConfig() *Config {
 
 		RecorderTypes: []string{
 			"threadscan/internal/obs.Recorder",
-			// The metrics engine and its push handles honor the same
-			// zero-cost contract on their sampling/read paths; source
-			// *registration* (Counter/Gauge/Rate/Quantile/Pushed) is
-			// cold-path setup and deliberately not listed.
+			// The metrics engine honors the same zero-cost contract on
+			// its sampling path; source *registration* (Counter/Gauge/
+			// Rate/Quantile) is cold-path setup and deliberately not
+			// listed.
 			"threadscan/internal/obs.Metrics",
-			"threadscan/internal/obs.PushedSeries",
 		},
 		RecorderHotMethods: []string{
 			"Begin", "BeginNode", "End", "Observe", "Window", "Instant",
 			"Alloc", "Free", "RemoteLineFill", "SignalSent", "RemoteFlush",
 			"InboxDrain", "MergeStageInto",
-			// Metrics engine sampling and in-run read paths.
-			"Tick", "sample", "Ticks", "Latest", "LatestDelta", "SlopeOver",
-			"points",
-			// PushedSeries hot surface.
-			"Put", "Points",
+			// Metrics engine sampling path.
+			"Tick", "sample", "Finish",
 		},
 		RecorderCallerPackages: []string{
 			"threadscan/internal/core",

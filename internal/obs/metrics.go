@@ -3,13 +3,13 @@
 // sampled on virtual-clock boundaries at a configurable interval.
 //
 // The engine shares the recorder's zero-cost contract, twice over.  A
-// nil or disabled *Metrics makes every hot call (Tick, Put, Latest…) a
-// guarded no-op that allocates nothing.  And an *enabled* engine never
-// charges virtual cycles: sampling is host-side reading driven by the
-// scheduler's clock-advance hook (simt.Sim.OnClockAdvance), so
-// attaching one cannot perturb a simulation's schedule, clock, or op
-// trace — TestMetricsOffIsBitIdentical in internal/harness locks the
-// invariant against the captured baseline.
+// nil or disabled *Metrics makes every hot call (Tick, Finish, Series)
+// a guarded no-op that allocates nothing.  And an *enabled* engine
+// never charges virtual cycles: sampling is host-side reading driven
+// by the scheduler's clock-advance hook (simt.Sim.OnClockAdvance), so
+// the sampling interval cannot perturb a simulation's schedule, clock,
+// or op trace — TestFootprintCadenceDoesNotPerturbRun in
+// internal/harness locks the invariant.
 //
 // Sources are registered once at setup (closures are allocated there,
 // on the cold path) and only *read* on the sampling path.  Sample
@@ -17,12 +17,10 @@
 // advance through the same virtual times produce identical timelines
 // regardless of event granularity.
 //
-// The engine is built for two consumers.  Post-run, Series() exports
-// every timeline for JSON/CSV, the sparkline report, and the cross-run
-// regression differ (DiffMetrics).  In-run, a controller can subscribe
-// to the latest window — Latest/LatestDelta/SlopeOver read the newest
-// points without copying — which is the substrate the adaptive-
-// controller roadmap item consumes.
+// It is the run's one sampler: the harness derives the memory-
+// footprint peaks from its garbage_nodes and live_words series.  After
+// the run, Series() exports every timeline for JSON/CSV, the sparkline
+// report, and the cross-run regression differ (DiffMetrics).
 package obs
 
 // SeriesKind types a metric series.
@@ -114,34 +112,8 @@ type quantSource struct {
 	pts       []Point
 }
 
-// PushedSeries is a series fed by instrument code at its own cadence
-// instead of the engine's ticker — the footprint sampler's series are
-// the first migrated user.  A nil *PushedSeries (from a disabled
-// engine) makes Put a one-comparison no-op.
-type PushedSeries struct {
-	name string
-	kind SeriesKind
-	pts  []Point
-}
-
-// Put appends one sample.  Hot path: guarded, allocation-shape-free.
-func (p *PushedSeries) Put(at int64, v float64) {
-	if p == nil {
-		return
-	}
-	p.pts = append(p.pts, Point{at, v})
-}
-
-// Points returns the samples recorded so far (no copy).
-func (p *PushedSeries) Points() []Point {
-	if p == nil {
-		return nil
-	}
-	return p.pts
-}
-
-// Metrics is the engine: a registry of sources sampled at Every-cycle
-// virtual-time boundaries.  The zero value (and a nil pointer) is a
+// Metrics is the engine: a registry of sources sampled on the
+// virtual-time boundaries of its interval.  The zero value (and a nil pointer) is a
 // disabled engine; construct enabled ones with NewMetrics.
 //
 // Like the Recorder, a Metrics needs no synchronization: the simt
@@ -151,33 +123,18 @@ type Metrics struct {
 	enabled bool
 	every   int64
 	nextAt  int64
-	ticks   int
 
 	counters []*counterSource
 	gauges   []*gaugeSource
 	rates    []*rateSource
 	quants   []*quantSource
-	pushed   []*PushedSeries
 }
 
 // NewMetrics returns an enabled engine sampling every `every` virtual
-// cycles.  every <= 0 disables the ticker (Tick becomes a no-op) but
-// keeps pushed series working — the footprint-only configuration.
+// cycles.  every <= 0 disables the ticker (Tick becomes a no-op);
+// Finish still takes its row.
 func NewMetrics(every int64) *Metrics {
-	m := &Metrics{enabled: true, every: every, nextAt: every}
-	return m
-}
-
-// Enabled reports whether the engine records anything.
-func (m *Metrics) Enabled() bool { return m != nil && m.enabled }
-
-// Every returns the sampling interval in virtual cycles (0 when the
-// ticker is off).
-func (m *Metrics) Every() int64 {
-	if m == nil || !m.enabled {
-		return 0
-	}
-	return m.every
+	return &Metrics{enabled: true, every: every, nextAt: every}
 }
 
 // ---------------------------------------------------------------------
@@ -211,27 +168,17 @@ func (m *Metrics) Rate(name string, read func() uint64) {
 	m.rates = append(m.rates, &rateSource{name: name, read: read, prev: read()})
 }
 
-// Quantile registers a windowed histogram quantile.  read must *fill*
-// the passed histogram with the cumulative distribution so far (it is
-// Reset before every call); each sample digests only the window's
-// delta against the previous snapshot.
+// Quantile registers a windowed histogram quantile.  read must bring
+// the passed histogram up to the cumulative distribution so far.  It
+// still holds what the previous read left there, so a source that can
+// tell nothing new was observed may return at once; any other must
+// Reset and refill it.  Each sample digests only the window's delta
+// against the previous snapshot.
 func (m *Metrics) Quantile(name string, q float64, read func(*Hist)) {
 	if m == nil || !m.enabled {
 		return
 	}
 	m.quants = append(m.quants, &quantSource{name: name, q: q, read: read})
-}
-
-// Pushed registers a series fed by instrument code (Put) rather than
-// the ticker.  Returns nil on a disabled engine, which makes every Put
-// through the handle a no-op.
-func (m *Metrics) Pushed(name string, kind SeriesKind) *PushedSeries {
-	if m == nil || !m.enabled {
-		return nil
-	}
-	p := &PushedSeries{name: name, kind: kind}
-	m.pushed = append(m.pushed, p)
-	return p
 }
 
 // ---------------------------------------------------------------------
@@ -250,8 +197,17 @@ func (m *Metrics) Tick(now int64) {
 	for now >= m.nextAt {
 		m.sample(m.nextAt)
 		m.nextAt += m.every
-		m.ticks++
 	}
+}
+
+// Finish takes one last row stamped at now, after the run's teardown
+// (the final flush has already run), so every series ends on the
+// state the run left behind.
+func (m *Metrics) Finish(now int64) {
+	if m == nil || !m.enabled {
+		return
+	}
+	m.sample(now)
 }
 
 // sample takes one row across every polled source.
@@ -271,10 +227,11 @@ func (m *Metrics) sample(at int64) {
 		r.prev = v
 	}
 	for _, qs := range m.quants {
-		qs.cur.Reset()
 		qs.read(&qs.cur)
 		v := deltaQuantile(&qs.cur, &qs.prev, qs.q)
-		qs.prev = qs.cur
+		if qs.cur.n != qs.prev.n {
+			qs.prev = qs.cur
+		}
 		qs.pts = append(qs.pts, Point{at, float64(v)})
 	}
 }
@@ -313,113 +270,8 @@ func deltaQuantile(cur, prev *Hist, q float64) int64 {
 	return cur.max
 }
 
-// ---------------------------------------------------------------------
-// In-run consumption (the controller-facing window reads).
-
-// Ticks returns the number of completed sample rows.
-func (m *Metrics) Ticks() int {
-	if m == nil || !m.enabled {
-		return 0
-	}
-	return m.ticks
-}
-
-// Latest returns the newest point of the named series (polled sources
-// and pushed series alike) and whether the series exists and has one.
-func (m *Metrics) Latest(name string) (Point, bool) {
-	if m == nil || !m.enabled {
-		return Point{}, false
-	}
-	pts := m.points(name)
-	if len(pts) == 0 {
-		return Point{}, false
-	}
-	return pts[len(pts)-1], true
-}
-
-// LatestDelta returns the change of the named series across its newest
-// window: the last delta for counters, the last point's value for
-// rates/gauges/quantiles.  False when fewer than one window completed.
-func (m *Metrics) LatestDelta(name string) (float64, bool) {
-	if m == nil || !m.enabled {
-		return 0, false
-	}
-	for _, c := range m.counters {
-		if c.name != name {
-			continue
-		}
-		n := len(c.pts)
-		if n == 0 {
-			return 0, false
-		}
-		if n == 1 {
-			return c.pts[0].V, true
-		}
-		return c.pts[n-1].V - c.pts[n-2].V, true
-	}
-	pts := m.points(name)
-	if len(pts) == 0 {
-		return 0, false
-	}
-	return pts[len(pts)-1].V, true
-}
-
-// SlopeOver returns the least-squares slope (value per million cycles)
-// of the named series' last windows points — the "footprint slope"
-// observable an adaptive controller regulates on.  False when fewer
-// than two points exist.
-func (m *Metrics) SlopeOver(name string, windows int) (float64, bool) {
-	if m == nil || !m.enabled {
-		return 0, false
-	}
-	pts := m.points(name)
-	if len(pts) > windows && windows > 0 {
-		pts = pts[len(pts)-windows:]
-	}
-	if len(pts) < 2 {
-		return 0, false
-	}
-	return slopeOf(pts), true
-}
-
-// points finds the named series' raw points.  Linear scan in
-// registration order: the registry is small and deterministic, and a
-// map would put ordering at the mercy of iteration order.
-func (m *Metrics) points(name string) []Point {
-	if m == nil || !m.enabled {
-		return nil
-	}
-	for _, c := range m.counters {
-		if c.name == name {
-			return c.pts
-		}
-	}
-	for _, g := range m.gauges {
-		if g.name == name {
-			return g.pts
-		}
-	}
-	for _, r := range m.rates {
-		if r.name == name {
-			return r.pts
-		}
-	}
-	for _, qs := range m.quants {
-		if qs.name == name {
-			return qs.pts
-		}
-	}
-	for _, p := range m.pushed {
-		if p.name == name {
-			return p.pts
-		}
-	}
-	return nil
-}
-
 // Series exports every timeline in deterministic order: counters,
-// gauges, rates, quantiles, then pushed series, each group in
-// registration order.  Steady-window digests are computed here, on the
+// gauges, rates, then quantiles, each group in registration order.  Steady-window digests are computed here, on the
 // cold path.
 func (m *Metrics) Series() []Series {
 	if m == nil || !m.enabled {
@@ -437,9 +289,6 @@ func (m *Metrics) Series() []Series {
 	}
 	for _, qs := range m.quants {
 		out = append(out, finishSeries(qs.name, SeriesQuantile, qs.pts))
-	}
-	for _, p := range m.pushed {
-		out = append(out, finishSeries(p.name, p.kind, p.pts))
 	}
 	return out
 }

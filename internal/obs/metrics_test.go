@@ -16,30 +16,20 @@ func TestDisabledMetricsAllocateNothing(t *testing.T) {
 	for name, m := range map[string]*Metrics{"nil": nilM, "zero": new(Metrics)} {
 		m := m
 		t.Run(name, func(t *testing.T) {
-			var p *PushedSeries // Pushed on a disabled engine returns nil
-			if got := m.Pushed("x", SeriesGauge); got != nil {
-				t.Fatalf("Pushed on disabled engine returned %v, want nil", got)
-			}
 			allocs := testing.AllocsPerRun(100, func() {
 				m.Tick(1000)
 				m.sample(1000)
+				m.Finish(1000)
 				m.Counter("c", nil)
 				m.Gauge("g", nil)
 				m.Rate("r", nil)
 				m.Quantile("q", 0.5, nil)
-				m.Ticks()
-				m.Latest("c")
-				m.LatestDelta("c")
-				m.SlopeOver("c", 4)
 				m.Series()
-				m.Every()
-				p.Put(1, 2)
-				p.Points()
 			})
 			if allocs != 0 {
 				t.Errorf("disabled metrics allocated %.0f times per run, want 0", allocs)
 			}
-			if m != nil && (m.ticks != 0 || len(m.counters) != 0 || len(m.pushed) != 0) {
+			if m != nil && (m.nextAt != 0 || len(m.counters) != 0 || len(m.gauges) != 0) {
 				t.Errorf("disabled metrics accumulated state: %+v", m)
 			}
 		})
@@ -48,25 +38,25 @@ func TestDisabledMetricsAllocateNothing(t *testing.T) {
 
 // TestTickQuantizesBoundaries: samples land at exact interval
 // boundaries regardless of how the clock jumps, one row per crossed
-// boundary, none before the first.
+// boundary, none before the first; Finish adds one last row stamped at
+// its own time.
 func TestTickQuantizesBoundaries(t *testing.T) {
 	m := NewMetrics(100)
 	var v uint64
 	m.Counter("c", func() uint64 { return v })
 	m.Tick(99) // below first boundary: nothing
-	if m.Ticks() != 0 {
-		t.Fatalf("ticked %d times before first boundary", m.Ticks())
+	if n := len(m.Series()[0].Points); n != 0 {
+		t.Fatalf("sampled %d rows before first boundary", n)
 	}
 	v = 7
 	m.Tick(100) // lands exactly on a boundary
 	v = 50
 	m.Tick(460) // jumps across three boundaries at once
-	if m.Ticks() != 4 {
-		t.Fatalf("ticks = %d, want 4", m.Ticks())
-	}
+	v = 60
+	m.Finish(470)
 	s := m.Series()[0]
-	wantAt := []int64{100, 200, 300, 400}
-	wantV := []float64{7, 50, 50, 50}
+	wantAt := []int64{100, 200, 300, 400, 470}
+	wantV := []float64{7, 50, 50, 50, 60}
 	if len(s.Points) != len(wantAt) {
 		t.Fatalf("points = %v", s.Points)
 	}
@@ -75,19 +65,11 @@ func TestTickQuantizesBoundaries(t *testing.T) {
 			t.Errorf("point %d = %+v, want {%d %g}", i, p, wantAt[i], wantV[i])
 		}
 	}
-	// Zero-interval engines never tick but still carry pushed series.
-	m0 := NewMetrics(0)
-	ps := m0.Pushed("p", SeriesRate)
-	m0.Tick(1 << 40)
-	ps.Put(5, 1.5)
-	if m0.Ticks() != 0 || len(m0.Series()) != 1 || m0.Series()[0].Points[0].V != 1.5 {
-		t.Errorf("zero-interval engine: ticks=%d series=%+v", m0.Ticks(), m0.Series())
-	}
 }
 
 // TestRateAndLatestDelta: rates store per-window deltas against a
-// registration-time baseline; LatestDelta agrees between counter and
-// rate views of the same source.
+// registration-time baseline, and the newest rate point agrees with the
+// counter view's newest delta.
 func TestRateAndLatestDelta(t *testing.T) {
 	m := NewMetrics(10)
 	var v uint64 = 100 // nonzero at registration: rate baselines here
@@ -98,21 +80,12 @@ func TestRateAndLatestDelta(t *testing.T) {
 	m.Tick(10)
 	v = 175
 	m.Tick(20)
-	rate := m.Series()[1]
+	total, rate := m.Series()[0], m.Series()[1]
 	if rate.Points[0].V != 30 || rate.Points[1].V != 45 {
 		t.Errorf("rate points = %+v, want [30 45]", rate.Points)
 	}
-	if d, ok := m.LatestDelta("total"); !ok || d != 45 {
-		t.Errorf("LatestDelta(total) = %g, %v; want 45", d, ok)
-	}
-	if d, ok := m.LatestDelta("rate"); !ok || d != 45 {
-		t.Errorf("LatestDelta(rate) = %g, %v; want 45", d, ok)
-	}
-	if p, ok := m.Latest("total"); !ok || p.At != 20 || p.V != 175 {
-		t.Errorf("Latest(total) = %+v, %v", p, ok)
-	}
-	if _, ok := m.Latest("no-such"); ok {
-		t.Error("Latest on unknown series reported ok")
+	if d := total.Deltas(); len(d) != 1 || d[0] != rate.Points[1] {
+		t.Errorf("counter deltas = %+v, want the newest rate point %+v", d, rate.Points[1])
 	}
 }
 
@@ -122,7 +95,10 @@ func TestRateAndLatestDelta(t *testing.T) {
 func TestWindowedQuantiles(t *testing.T) {
 	m := NewMetrics(100)
 	h := NewHist()
-	m.Quantile("p99", 0.99, func(into *Hist) { into.Merge(h) })
+	m.Quantile("p99", 0.99, func(into *Hist) {
+		into.Reset()
+		into.Merge(h)
+	})
 	for i := 0; i < 100; i++ {
 		h.Observe(10_000) // slow window
 	}
@@ -218,35 +194,6 @@ func TestSeriesAnalysis(t *testing.T) {
 	}
 	if (Series{}).Slope() != 0 || len((Series{}).Deltas()) != 0 {
 		t.Error("empty series analysis not zero")
-	}
-}
-
-// TestSlopeOver: the controller-facing windowed slope read.
-func TestSlopeOver(t *testing.T) {
-	m := NewMetrics(1_000_000)
-	var v uint64
-	m.Gauge("g", func() float64 { return float64(v) })
-	for i := 1; i <= 8; i++ {
-		if i <= 4 {
-			v = 0 // flat first half
-		} else {
-			v += 3 // then climbs 3 per Mcycle window
-		}
-		m.Tick(int64(i) * 1_000_000)
-	}
-	full, ok := m.SlopeOver("g", 0)
-	if !ok {
-		t.Fatal("SlopeOver reported no data")
-	}
-	tail, ok := m.SlopeOver("g", 4)
-	if !ok || math.Abs(tail-3) > 1e-9 {
-		t.Errorf("tail slope = %g, %v; want 3", tail, ok)
-	}
-	if full >= tail {
-		t.Errorf("full-series slope %g not below tail slope %g", full, tail)
-	}
-	if _, ok := m.SlopeOver("g", 1); ok {
-		t.Error("single-point slope reported ok")
 	}
 }
 

@@ -115,7 +115,7 @@ type Stats struct {
 
 	// PeakRetired is the exact running maximum of retired-but-unfreed
 	// nodes, updated at every Retire and free — the Hyaline-style
-	// robustness metric.  Unlike the footprint sampler's peak it cannot
+	// robustness metric.  Unlike the sampled footprint peak it cannot
 	// alias between sample instants (a burst reclaimed within one
 	// SampleEvery window still registers).  Zero for Leaky, whose
 	// graveyard is counted in Leaked instead.

@@ -78,10 +78,6 @@ func (t *Thread) deliverSignals() {
 	}
 }
 
-// InHandler reports whether the thread is currently executing a signal
-// handler.
-func (t *Thread) InHandler() bool { return t.sigDepth > 0 }
-
 func maxI64(a, b int64) int64 {
 	if a > b {
 		return a

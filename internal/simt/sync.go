@@ -132,9 +132,6 @@ func (m *Mutex) Unlock(t *Thread) {
 	m.q.WakeOne(t)
 }
 
-// Locked reports whether the mutex is currently held (diagnostics).
-func (m *Mutex) Locked() bool { return m.locked }
-
 // Handshake is the one-to-many acknowledgement barrier at the heart of
 // a scan phase: an owner arms it, registers one expectation per party
 // it signals, and spins until every party has acked.  ThreadScan's

@@ -124,17 +124,6 @@ func MergeKeyed(traces []*KeyedTrace) *KeyedSummary {
 // Keys returns the number of distinct keys touched.
 func (s *KeyedSummary) Keys() int { return len(s.perKey) }
 
-// NetInserts returns the total successful inserts minus successful
-// removes across all keys — for a set, exactly the final size minus the
-// initial size.
-func (s *KeyedSummary) NetInserts() int {
-	n := 0
-	for _, t := range s.perKey {
-		n += t.succIns - t.succRem
-	}
-	return n
-}
-
 // CheckSetSemantics verifies the per-key alternation invariant of a
 // linearizable set: with initial presence p0(key), the net successful
 // inserts over removes must land back in {0, 1} — succIns - succRem +

@@ -252,20 +252,11 @@ type Scenario struct {
 	// Simulator knobs (0 = defaults).
 	Quantum     int64
 	HeapWords   int
-	SampleEvery int64 // footprint sampling interval (0 = duration/64)
+	SampleEvery int64 // metrics-engine sampling interval (0 = duration/64)
 
 	// CacheSim turns on the simulator's per-core cache model, the
 	// machine the paper's figures and ablations A1-A3 run on.
 	CacheSim bool
-
-	// MetricsEvery is the metrics-engine sampling interval in virtual
-	// cycles: every timeline series gets one point per interval.  0
-	// leaves the engine off (the default — results stay byte-identical
-	// to pre-metrics runs), -1 resolves to the footprint cadence
-	// (SampleEvery after its default), and any positive value is used
-	// as-is.  Sampling reads host-side state only, so enabling it never
-	// changes ops, cycles, or trace hashes.
-	MetricsEvery int64
 
 	// Chaos enables the scheduler's seeded adversarial mode: eligible
 	// threads are picked uniformly at random (still deterministically,
@@ -419,9 +410,6 @@ func (s *Scenario) Fill() error {
 			s.SampleEvery = 1
 		}
 	}
-	if s.MetricsEvery < 0 {
-		s.MetricsEvery = s.SampleEvery
-	}
 	return nil
 }
 
@@ -466,9 +454,6 @@ func (s Scenario) Scale(f float64) Scenario {
 	}
 	if s.SampleEvery > 0 {
 		s.SampleEvery = int64(float64(s.SampleEvery) * f)
-	}
-	if s.MetricsEvery > 0 {
-		s.MetricsEvery = int64(float64(s.MetricsEvery) * f)
 	}
 	if s.StallCycles > 0 {
 		s.StallCycles = int64(float64(s.StallCycles) * f)

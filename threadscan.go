@@ -256,8 +256,8 @@ type (
 	// ScenarioResult is one scenario outcome: throughput, op-trace
 	// digest, and footprint telemetry.
 	ScenarioResult = harness.ScenarioResult
-	// Footprint holds the memory-robustness peaks; the sampled series
-	// are ScenarioResult.Metrics' footprint_* series.
+	// Footprint holds the memory-robustness peaks, read off the
+	// garbage_nodes and live_words series in ScenarioResult.Metrics.
 	Footprint = harness.Footprint
 )
 
@@ -339,11 +339,11 @@ func WriteProfile(w io.Writer, label string, rec *Recorder) error {
 }
 
 // Virtual-time metrics engine (internal/obs): named counter/gauge/rate/
-// quantile timelines sampled on virtual-clock ticks.  Set
-// Scenario.MetricsEvery (-1 for the footprint cadence) and every
-// ScenarioResult carries the run's series; like the Recorder, sampling
-// never charges virtual cycles, so results are bit-identical with
-// metrics on or off.
+// quantile timelines sampled on virtual-clock ticks.  Every
+// ScenarioResult carries the run's series, one point per
+// Scenario.SampleEvery cycles plus a final post-teardown row; like the
+// Recorder, sampling never charges virtual cycles, so the cadence
+// cannot change a run's result.
 type (
 	// Metrics is a per-run metrics registry and its sampled timelines.
 	// A nil or zero-value Metrics is disabled and allocates nothing.
