@@ -30,6 +30,35 @@ func maxValue(s obs.Series) float64 {
 	return mx
 }
 
+// TestMetricsOffIsBitIdentical: the metrics engine's safety contract.
+// Samplers read state on clock advance but never charge cycles, so
+// replaying the captured cells with every series sampled far more
+// densely than the manifest's default cadence must reproduce ops,
+// elapsed cycles, trace hash and final size bit-identically: the run
+// behaves as if metrics were off.  Only the number of points differs.
+func TestMetricsOffIsBitIdentical(t *testing.T) {
+	const denseEvery = 10_000
+	replayBaseline(t, [][3]string{
+		{"uniform-baseline", "list", "threadscan"},
+		{"delete-storm", "stack", "epoch"},
+		{"thread-churn", "queue", "threadscan"},
+		{"numa-split", "stack", "threadscan"},
+	}, replayMode{
+		run: func(spec workload.Scenario) (ScenarioResult, error) {
+			spec.SampleEvery = denseEvery
+			return RunScenario(spec)
+		},
+		check: func(t *testing.T, r ScenarioResult) {
+			// The default cadence takes 64 in-run samples plus the
+			// post-teardown row; a dense run that took no more proves
+			// nothing about sampling cost.
+			if n := len(findSeries(t, r.Metrics, "garbage_nodes").Points); n <= 65 {
+				t.Errorf("dense cadence took only %d samples", n)
+			}
+		},
+	})
+}
+
 // TestFootprintSeriesReconciles: the metrics engine is the run's one
 // sampler.  Every exported series shares one time axis, the footprint
 // peaks are the maxima of the garbage_nodes and live_words series, and
