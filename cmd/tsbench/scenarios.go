@@ -357,13 +357,14 @@ func validateTopologyFlags(specs []workload.Scenario, nodes int, pin, claim stri
 // neither output is the poor relation.
 func writeScenarioTable(w io.Writer, results []harness.ScenarioResult) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "scenario\tds\tscheme\tthr/cores\tnodes\talloc\tops\tops/vsec\tpeak-garbage-nodes\tpeak-garbage-words\tfinal-garbage\tchurned\tcollect-cyc\tdbl-retires\thelp-sorted\thelp-swept\tlocal-claims\tremote-claims\tremote-fills\tsweep-remote\tstolen\tovl\tremote-allocs\thome-frees\tremote-frees")
+	fmt.Fprintln(tw, "scenario\tds\tscheme\tthr/cores\tnodes\talloc\tops\tops/vsec\tpeak-garbage-nodes\tpeak-garbage-words\tfinal-garbage\tchurned\tcollect-cyc\tparked-scans\tdbl-retires\thelp-sorted\thelp-swept\tlocal-claims\tremote-claims\tremote-fills\tsweep-remote\tstolen\tovl\tremote-allocs\thome-frees\tremote-frees")
 	for _, r := range results {
 		var collectCyc int64
-		var dblRetires, helpSorted, helpSwept, localClaims, remoteClaims uint64
+		var parkedScans, dblRetires, helpSorted, helpSwept, localClaims, remoteClaims uint64
 		var sweepRemote, stolen, overlapped uint64
 		if r.Core != nil {
 			collectCyc = r.Core.CollectCycles
+			parkedScans = r.Core.ParkedScans
 			dblRetires = r.Core.DoubleRetires
 			helpSorted = r.Core.HelpSortedShards
 			helpSwept = r.Core.HelpSweptShards
@@ -381,10 +382,10 @@ func writeScenarioTable(w io.Writer, results []harness.ScenarioResult) {
 		if alloc == "" {
 			alloc = "global"
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%d/%d\t%d\t%s\t%d\t%.0f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%d/%d\t%d\t%s\t%d\t%.0f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
 			r.Name, r.DS, r.Scheme, r.Threads, r.Cores, nodes, alloc, r.Ops, r.Throughput,
 			r.Footprint.PeakRetiredNodes, r.Footprint.PeakRetiredWords,
-			r.Footprint.FinalRetiredNodes, r.ChurnWorkers, collectCyc, dblRetires,
+			r.Footprint.FinalRetiredNodes, r.ChurnWorkers, collectCyc, parkedScans, dblRetires,
 			helpSorted, helpSwept, localClaims, remoteClaims, r.Sim.RemoteLineFills,
 			sweepRemote, stolen, overlapped, r.Heap.RemoteAllocs, r.Heap.HomeFrees, r.Heap.RemoteFrees)
 	}

@@ -72,7 +72,8 @@ func run() error {
 	fmt.Printf("  nodes retired    %d\n", st.Frees)
 	fmt.Printf("  nodes reclaimed  %d (in %d collect phases)\n", st.Reclaimed, st.Collects)
 	fmt.Printf("  still buffered   %d\n", ts.Core().Buffered())
-	fmt.Printf("  scans performed  %d (%d words examined)\n", st.ScannedThreads, st.ScannedWords)
+	fmt.Printf("  scans performed  %d (%d words examined, %d of parked threads by the reclaimer)\n",
+		st.ScannedThreads, st.ScannedWords, st.ParkedScans)
 	heap := sim.Heap().Stats()
 	fmt.Printf("  heap             %d allocs, %d frees, %d live blocks\n",
 		heap.Allocs, heap.Frees, heap.LiveBlocks)

@@ -210,6 +210,7 @@ type Stats struct {
 	Remarked        uint64 // nodes found referenced, re-buffered
 	ScannedWords    uint64 // stack+register+heap-block words examined
 	ScannedThreads  uint64 // TS-Scan executions (incl. reclaimer's own)
+	ParkedScans     uint64 // of which reclaimer-side scans of peers parked on its lock
 	HelpFreed       uint64 // nodes freed by scanners (HelpFree mode)
 	MaxMaster       int    // largest master buffer seen
 
@@ -230,8 +231,9 @@ type Stats struct {
 	// mop-ups, and scanner help-frees) that touched a line homed on a
 	// *different* node than the freeing thread — the cross-socket
 	// traffic per-node routing exists to eliminate.  Zero on the flat
-	// machine; with PerNode on and an affinity claim order it is zero
-	// by construction on pinned workloads.  Teardown drains (FlushAll)
+	// machine; with PerNode on and an affinity claim order only lines
+	// another node touched after the retire count (realloc-local pays
+	// a few hundred per run).  Teardown drains (FlushAll)
 	// are excluded: flushing every node from one thread is a one-time
 	// cross-node sweep by design, not a steady-state cost.
 	SweepRemoteFills uint64
@@ -281,7 +283,8 @@ type ThreadScan struct {
 	// slots are the collect pipelines: one spanning every node
 	// (classic), or one per node (PerNode; see slot.go).
 	slots   []*slot
-	scratch []uint64 // ring-drain staging
+	scratch []uint64       // ring-drain staging
+	parked  []*simt.Thread // signalPeers' parked peers, reused
 
 	// Per-node routing state (PerNode mode; see pernode.go).
 	// nodeBuf[n] is node n's home sub-buffer — addresses routed there
@@ -332,6 +335,10 @@ type tsThread struct {
 	ring       *Ring
 	heapBlocks [][2]uint64 // {startAddr, words} private regions (§4.3)
 	inFlush    bool        // inside FlushAll (this thread's teardown sweeps skip steal/fill stats)
+	// parkedOn is the lock this thread waits for with its registers
+	// spilled to its stack (Free's ring-full path; see lockParked), nil
+	// otherwise.
+	parkedOn *simt.Mutex
 
 	// Scan-target lists, reused so neither a handler run nor a
 	// reclaimer's own scan allocates: want is the handler's snapshot of
@@ -530,7 +537,7 @@ func (ts *ThreadScan) Free(t *simt.Thread, addr uint64) {
 	// drained us while we waited for the lock — paper §4.2: "a thread
 	// waiting to become a reclaimer will probably discover that its
 	// buffer has been drained ... and that it can go back to work").
-	s.lock.Lock(t)
+	ts.lockParked(t, tt, s.lock)
 	if tt.ring.Push(addr) {
 		ts.ringCount++
 		ts.stats.AvoidedCollects++
@@ -547,6 +554,22 @@ func (ts *ThreadScan) Free(t *simt.Thread, addr uint64) {
 		ts.parkOrphan(t, addr)
 	}
 	s.lock.Unlock(t)
+}
+
+// lockParked acquires m for Free's ring-full path.  It tries the lock
+// first, so an uncontended acquire costs what Mutex.Lock costs.  A
+// thread that has to wait spills its registers to its stack (NumRegs
+// stores) and is published as parked on m until it holds m: its roots
+// stay frozen for as long as m's holder keeps it, so a reclaimer that
+// holds m scans them itself instead of signaling (signalPeers).
+func (ts *ThreadScan) lockParked(t *simt.Thread, tt *tsThread, m *simt.Mutex) {
+	if m.TryLock(t) {
+		return
+	}
+	t.Charge(simt.NumRegs * ts.costs().Store)
+	tt.parkedOn = m
+	m.Lock(t)
+	tt.parkedOn = nil
 }
 
 // parkOrphan appends addr to the orphan list, attributed to the NUMA

@@ -22,8 +22,10 @@ import "threadscan/internal/simt"
 //     sub-buffer — so the SPSC ring becomes genuinely single-thread
 //     and no reclaimer ever reads another thread's ring on the hot
 //     path.  nodeBuf[n] therefore holds only node-n-retired addresses:
-//     every shard built from it is single-node *by construction*, and
-//     its sweep touches zero remote lines.
+//     every shard built from it is single-node *by construction*.  Its
+//     sweep touches no remote line as long as the retiring node was the
+//     last to touch each line; a line another node read or wrote after
+//     the retire (realloc-local's readers, say) is still a remote fill.
 //   - The thread whose drain pushes its node's sub-buffer past the
 //     trigger becomes that node's reclaimer (maybeCollect).
 //

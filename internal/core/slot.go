@@ -23,7 +23,8 @@ import (
 //   - overlapped (PerNode): one slot per node, each with its own mutex.
 //     Routing (pernode.go) puts only node-n-retired addresses in
 //     nodeBuf[n], so slot n's shard group is single-node by
-//     construction and its sweep touches zero remote lines.  With the
+//     construction, and its sweep touches no remote line unless another
+//     node touched that line after the retire.  With the
 //     one machine-wide lock, node 1's reclaimer would wait for node 0's
 //     phase even though their shard groups, sweep lists, and freed
 //     lines are disjoint; with a lock per slot, collects on different
@@ -355,19 +356,42 @@ func (ts *ThreadScan) aggregate(t *simt.Thread, s *slot) {
 // only charges), so expectation registration and signal-pending bits
 // are set atomically with respect to every target's handler entry — a
 // handler snapshot can never observe the signal without the want.
+//
+// A peer parked on s's lock (lockParked) is not signaled when its
+// handler would only scan: the reclaimer holds that lock, so the peer's
+// roots cannot change before the sweep, and the reclaimer scans them
+// itself (scanParked) without a signal, a wakeup or an ack.
 func (ts *ThreadScan) signalPeers(t *simt.Thread, s *slot) {
 	ts.obs.BeginNode(t, obs.StageSignal, s.node)
 	s.hs.Arm()
 	threads := ts.sim.Threads()
+	parked := ts.parked[:0]
 	for id := range ts.registered {
 		if !ts.registered[id] || id == t.ID() {
+			continue
+		}
+		if ts.scansParked(s, threads[id]) {
+			parked = append(parked, threads[id])
 			continue
 		}
 		if t.Signal(threads[id], ts.cfg.Signal) {
 			s.hs.ExpectFrom(threads[id])
 		}
 	}
+	ts.parked = parked
 	ts.obs.End(t)
+	for _, p := range parked {
+		ts.scanParked(t, s, p)
+	}
+}
+
+// scansParked reports whether s's reclaimer scans peer p itself: p is
+// parked on s's lock, and its handler would do no more than scan — K is
+// 1, so there is no shard to help sort, and no HelpFree list p's node
+// may claim is waiting.
+func (ts *ThreadScan) scansParked(s *slot, p *simt.Thread) bool {
+	return ts.perThread[p.ID()].parkedOn == s.lock && s.shards.k() == 1 &&
+		!(ts.cfg.HelpFree && ts.helpFreeClaimable(p.Node()))
 }
 
 // prepareShard makes shard i of s's group probe-ready — sort+dedup
@@ -557,9 +581,20 @@ func (ts *ThreadScan) helpFree(t *simt.Thread) {
 	}
 }
 
-// helpFreeLists frees up to budget addresses from s's claimable lists,
-// returning the unused budget.  stolen marks first claims as cross-node
-// sweep steals.
+// helpFreeClaimable reports whether helpFree, run by a scanner on node
+// my, would find a list to claim.
+func (ts *ThreadScan) helpFreeClaimable(my int) bool {
+	for _, s := range ts.slots {
+		local := s.node < 0 || s.node == my
+		if (local || s.backlog() >= ts.stealAt) && ts.claimable(s, my) >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// claimable returns the index of the help list of s a scanner on node
+// my claims next, or -1 when there is none.
 //
 // On the classic slot under ClaimAffinity a scanner only claims sweep
 // lists homed on its own node (or on none): freeing a node touches its
@@ -571,23 +606,30 @@ func (ts *ThreadScan) helpFree(t *simt.Thread) {
 // the claim policy only decides who sweeps sooner, never whether the
 // memory is reclaimed.  A per-node slot's lists are all homed on its
 // node, so its last list is taken.
+func (ts *ThreadScan) claimable(s *slot, my int) int {
+	pick := len(s.help) - 1
+	if s.node < 0 && ts.nodes > 1 && ts.cfg.Claim == ClaimAffinity {
+		for pick >= 0 && s.help[pick].home != my && s.help[pick].home >= 0 {
+			pick--
+		}
+	}
+	return pick
+}
+
+// helpFreeLists frees up to budget addresses from s's claimable lists,
+// returning the unused budget.  stolen marks first claims as cross-node
+// sweep steals.
 func (ts *ThreadScan) helpFreeLists(t *simt.Thread, s *slot, budget int, stolen bool) int {
-	for budget > 0 && len(s.help) > 0 {
+	for budget > 0 {
 		// Claim a whole list before freeing (FreeAddr passes
 		// safepoints, and no other helper — or the reclaimer's drain —
 		// may see these entries), but cap the handler's total work at
 		// one chunk: an oversized remainder goes back for the next
 		// helper, preserving the bounded-handler-latency trade
 		// HelpFreeChunk exists for.
-		pick := len(s.help) - 1
-		if s.node < 0 && ts.nodes > 1 && ts.cfg.Claim == ClaimAffinity {
-			my := t.Node()
-			for pick >= 0 && s.help[pick].home != my && s.help[pick].home >= 0 {
-				pick--
-			}
-			if pick < 0 {
-				break // no local list; leave remote ones to their node
-			}
+		pick := ts.claimable(s, t.Node())
+		if pick < 0 {
+			break // nothing left, or no local list: leave remote ones to their node
 		}
 		list := s.help[pick]
 		s.help = append(s.help[:pick], s.help[pick+1:]...)
@@ -664,34 +706,72 @@ func (ts *ThreadScan) freeLists(t *simt.Thread, s *slot, lists []freeList, stole
 
 // scanThread scans t's registers, stack, and registered heap blocks
 // once, probing every slot in slots per word — the shared scan epoch.
-// Each word is resolved to the base of the heap block it points into
-// (simmem.Heap.BlockBase), so a tagged pointer (§4.2 "Pointer
-// Operations") or an interior pointer such as &node.next keeps its node
-// alive.  The resolution is charged as the paper's mask plus range
-// check, once per word; shard routing and lookup are charged per probed
-// slot.
+// The resolution of each word to a block base (scanWord) is charged as
+// the paper's mask plus range check, once per word; shard routing and
+// lookup are charged per probed slot.
 func (ts *ThreadScan) scanThread(t *simt.Thread, slots []*slot) {
 	ts.stats.ScannedThreads++
 	c := ts.costs()
 	words := 0
-	scanWord := func(w uint64) {
+	scan := func(w uint64) {
 		words++
 		t.Charge(2 * c.Step) // resolve to a block base (mask + range check)
-		p := ts.sim.Heap().BlockBase(w)
-		if p == 0 {
-			return
-		}
-		for _, s := range slots {
-			ts.probe(t, s, p)
-		}
+		ts.scanWord(t, slots, w)
 	}
-	t.ScanRoots(scanWord)
+	t.ScanRoots(scan)
 	for _, blk := range ts.perThread[t.ID()].heapBlocks {
 		for i := uint64(0); i < blk[1]; i++ {
-			scanWord(t.LoadAddr(blk[0] + i*8))
+			scan(t.LoadAddr(blk[0] + i*8))
 		}
 	}
 	ts.stats.ScannedWords += uint64(words)
+}
+
+// scanParked is TS-Scan of peer p, run by s's reclaimer t while p is
+// parked on s's lock with its registers spilled to its stack (see
+// signalPeers).  It covers the same words as p's own scanThread — the
+// spilled registers, the stack and the registered heap blocks — and
+// charges t one load plus the mask and range check per word, plus a
+// remote line fill per eight words when p last ran on another node.
+func (ts *ThreadScan) scanParked(t *simt.Thread, s *slot, p *simt.Thread) {
+	ts.obs.BeginNode(t, obs.StageScan, s.node)
+	ts.stats.ScannedThreads++
+	ts.stats.ParkedScans++
+	c := ts.costs()
+	heap := ts.sim.Heap()
+	tt := ts.perThread[t.ID()]
+	tt.own = append(tt.own[:0], s)
+	words := 0
+	scan := func(w uint64) {
+		words++
+		t.Charge(c.Load + 2*c.Step)
+		ts.scanWord(t, tt.own, w)
+	}
+	p.ScanRoots(scan)
+	for _, blk := range ts.perThread[p.ID()].heapBlocks {
+		for i := uint64(0); i < blk[1]; i++ {
+			scan(heap.Load(blk[0] + i*8))
+		}
+	}
+	if ts.nodes > 1 && p.Node() != t.Node() {
+		t.Charge(int64((words+7)/8) * c.RemoteFill)
+	}
+	ts.stats.ScannedWords += uint64(words)
+	ts.obs.End(t)
+}
+
+// scanWord resolves one scanned word to the base of the heap block it
+// points into (simmem.Heap.BlockBase), so a tagged pointer (§4.2
+// "Pointer Operations") or an interior pointer such as &node.next keeps
+// its node alive, and probes every slot in slots with that base.
+func (ts *ThreadScan) scanWord(t *simt.Thread, slots []*slot, w uint64) {
+	p := ts.sim.Heap().BlockBase(w)
+	if p == 0 {
+		return
+	}
+	for _, s := range slots {
+		ts.probe(t, s, p)
+	}
 }
 
 // probe routes an in-heap, mask-cleaned address to its shard in s's

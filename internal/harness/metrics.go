@@ -49,6 +49,7 @@ func registerScenarioMetrics(m *obs.Metrics, sim *simt.Sim, sc reclaim.Scheme, t
 	if tsCore != nil {
 		m.Counter("collects", func() uint64 { return tsCore.Stats().Collects })
 		m.Counter("watermark_collects", func() uint64 { return tsCore.Stats().WatermarkCollects })
+		m.Counter("parked_scans", func() uint64 { return tsCore.Stats().ParkedScans })
 		m.Counter("steals", func() uint64 {
 			st := tsCore.Stats()
 			return st.StolenCollects + st.StolenSweeps
@@ -61,9 +62,9 @@ func registerScenarioMetrics(m *obs.Metrics, sim *simt.Sim, sc reclaim.Scheme, t
 
 	// Windowed latency quantiles from the recorder's cumulative per-op
 	// histogram: each point digests only that window's observations.
-	// Merging every thread's histogram is the costliest read here, so
-	// both quantiles share one merge per sample, and a window in which
-	// no op completed keeps the last one.
+	// Copying the 16 KB histogram is the costliest read here, so both
+	// quantiles share one copy per sample, and a window in which no op
+	// completed keeps the last one.
 	if rec.Enabled() {
 		var merged obs.Hist
 		opHist := func(h *obs.Hist) {

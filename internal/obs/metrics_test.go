@@ -364,14 +364,12 @@ func TestSparkline(t *testing.T) {
 // StageHist, and the guard holds for nil/disabled recorders.
 func TestMergeStageInto(t *testing.T) {
 	r := NewRecorder()
-	tr := &threadRec{}
-	tr.observe(StageOp, 100)
-	tr.observe(StageOp, 2000)
-	r.threads = append(r.threads, tr, nil)
+	r.observe(StageOp, 100)
+	r.observe(StageOp, 2000)
 	var h Hist
 	r.MergeStageInto(StageOp, &h)
 	want := r.StageHist(StageOp)
-	if h.Count() != want.Count() || h.Quantile(0.99) != want.Quantile(0.99) {
+	if h.Count() != 2 || h.Count() != want.Count() || h.Quantile(0.99) != want.Quantile(0.99) {
 		t.Errorf("MergeStageInto diverged from StageHist: n=%d vs %d", h.Count(), want.Count())
 	}
 	var h2 Hist

@@ -149,37 +149,16 @@ type openSpan struct {
 	node  int
 }
 
-type stageStat struct {
-	hist  *Hist
-	count int64
-	sum   int64
-	max   int64
-}
-
-// threadRec is one thread's recording state.  Thread ids are dense and
-// never reused (SpawnFrom keeps allocating fresh ids), so a churned
-// thread's record survives its exit and merges into the summaries
-// exactly once — no loss, no double count.
+// threadRec is one thread's recording state: its open-span stack and,
+// when tracing, its stored spans and instants.  Thread ids are dense
+// and never reused (SpawnFrom keeps allocating fresh ids), so a churned
+// thread's record survives its exit and exports exactly once.
 type threadRec struct {
 	id       int
 	name     string
 	open     []openSpan
-	stats    [numStages]stageStat
 	spans    []Span
 	instants []Instant
-}
-
-func (tr *threadRec) observe(s Stage, dur int64) {
-	st := &tr.stats[s]
-	if st.hist == nil {
-		st.hist = NewHist()
-	}
-	st.hist.Observe(dur)
-	st.count++
-	st.sum += dur
-	if dur > st.max {
-		st.max = dur
-	}
 }
 
 // Recorder accumulates spans, instants, and histograms for one
@@ -195,6 +174,10 @@ type Recorder struct {
 
 	threads []*threadRec // indexed by thread id
 	kinds   [numKinds]int64
+	// stages holds one histogram per stage across every thread,
+	// allocated at the stage's first observation.  Nothing reads one
+	// thread's distribution, so the summaries read these directly.
+	stages [numStages]*Hist
 
 	remoteLineFills    int64
 	allocRemoteFills   int64
@@ -217,6 +200,16 @@ func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
 
 // Tracing reports whether the recorder stores spans for export.
 func (r *Recorder) Tracing() bool { return r != nil && r.trace }
+
+// observe records one duration of stage s.
+func (r *Recorder) observe(s Stage, dur int64) {
+	h := r.stages[s]
+	if h == nil {
+		h = NewHist()
+		r.stages[s] = h
+	}
+	h.Observe(dur)
+}
 
 // rec returns (creating if needed) the record for t.
 func (r *Recorder) rec(t *simt.Thread) *threadRec {
@@ -268,7 +261,7 @@ func (r *Recorder) End(t *simt.Thread) {
 	sp := tr.open[n-1]
 	tr.open = tr.open[:n-1]
 	dur := t.Now() - sp.start
-	tr.observe(sp.stage, dur)
+	r.observe(sp.stage, dur)
 	if r.trace && stageTraced[sp.stage] {
 		tr.spans = append(tr.spans, Span{sp.stage, sp.start, dur, sp.node})
 	}
@@ -280,7 +273,8 @@ func (r *Recorder) Observe(t *simt.Thread, s Stage, dur int64) {
 	if r == nil || !r.enabled {
 		return
 	}
-	r.rec(t).observe(s, dur)
+	_ = t
+	r.observe(s, dur)
 }
 
 // Window records a completed span of stage s after the fact — start is
@@ -291,9 +285,9 @@ func (r *Recorder) Window(t *simt.Thread, s Stage, start, dur int64) {
 	if r == nil || !r.enabled {
 		return
 	}
-	tr := r.rec(t)
-	tr.observe(s, dur)
+	r.observe(s, dur)
 	if r.trace && stageTraced[s] {
+		tr := r.rec(t)
 		tr.spans = append(tr.spans, Span{s, start, dur, -1})
 	}
 }
@@ -328,7 +322,8 @@ func (r *Recorder) Alloc(t *simt.Thread, dur int64, remote bool) {
 	if r == nil || !r.enabled {
 		return
 	}
-	r.rec(t).observe(StageAlloc, dur)
+	_ = t
+	r.observe(StageAlloc, dur)
 	if remote {
 		r.allocRemoteFills++
 	}
@@ -395,76 +390,47 @@ func (r *Recorder) InboxDrain(node, blocks int) {
 // ---------------------------------------------------------------------
 // Aggregation.
 
-// StageHist returns a merged copy of every thread's histogram for s.
+// StageHist returns a copy of the histogram for s.
 func (r *Recorder) StageHist(s Stage) *Hist {
 	h := NewHist()
-	if r == nil || !r.enabled {
-		return h
-	}
-	for _, tr := range r.threads {
-		if tr != nil && tr.stats[s].hist != nil {
-			h.Merge(tr.stats[s].hist)
-		}
-	}
+	r.MergeStageInto(s, h)
 	return h
 }
 
-// MergeStageInto merges every thread's histogram for s into a
-// caller-owned Hist.  The non-allocating sibling of StageHist: the
-// metrics engine calls it once per sampling window to snapshot the
-// cumulative distribution, so it is part of the zero-cost hot surface
-// (guarded, and the caller preallocates the destination).
+// MergeStageInto merges the histogram for s into a caller-owned Hist.
+// The non-allocating sibling of StageHist: the metrics engine calls it
+// once per sampling window to snapshot the cumulative distribution, so
+// it is part of the zero-cost hot surface (guarded, and the caller
+// preallocates the destination).
 func (r *Recorder) MergeStageInto(s Stage, into *Hist) {
-	if r == nil || !r.enabled {
+	if r == nil || !r.enabled || r.stages[s] == nil {
 		return
 	}
-	for _, tr := range r.threads {
-		if tr != nil && tr.stats[s].hist != nil {
-			into.Merge(tr.stats[s].hist)
-		}
-	}
+	into.Merge(r.stages[s])
 }
 
 // StageCount returns the total observation count for s across threads.
 func (r *Recorder) StageCount(s Stage) int64 {
-	if r == nil || !r.enabled {
+	if r == nil || !r.enabled || r.stages[s] == nil {
 		return 0
 	}
-	var n int64
-	for _, tr := range r.threads {
-		if tr != nil {
-			n += tr.stats[s].count
-		}
-	}
-	return n
+	return r.stages[s].Count()
 }
 
 // StageTotal returns the total cycles recorded for s across threads.
 func (r *Recorder) StageTotal(s Stage) int64 {
-	if r == nil || !r.enabled {
+	if r == nil || !r.enabled || r.stages[s] == nil {
 		return 0
 	}
-	var sum int64
-	for _, tr := range r.threads {
-		if tr != nil {
-			sum += tr.stats[s].sum
-		}
-	}
-	return sum
+	return r.stages[s].Sum()
 }
 
 // StageMax returns the exact longest observation for s across threads.
 func (r *Recorder) StageMax(s Stage) int64 {
-	if r == nil || !r.enabled {
+	if r == nil || !r.enabled || r.stages[s] == nil {
 		return 0
 	}
-	var m int64
-	for _, tr := range r.threads {
-		if tr != nil && tr.stats[s].max > m {
-			m = tr.stats[s].max
-		}
-	}
-	return m
+	return r.stages[s].Max()
 }
 
 // Spans returns every stored span of stage s across all threads, in

@@ -141,7 +141,7 @@ func (m *Mutex) Unlock(t *Thread) {
 // spans the machine.
 //
 // Cycle accounting is deliberately asymmetric, mirroring the protocol:
-// Ack is free here (the acking side charges its own store+fence at the
+// AckFrom is free here (the acking side charges its own store+fence at the
 // call site, exactly as a real ACK flag write would cost), while Await
 // burns the owner's cycles in Pause spin-waits — the reclaimer-side
 // wait the paper's Figure 4 charges to oversubscription.
@@ -151,8 +151,7 @@ func (m *Mutex) Unlock(t *Thread) {
 // track *which* threads each owner is waiting on, so a handler can
 // snapshot every handshake that wants it and satisfy them all with a
 // single scan pass (one scan epoch shared across overlapping
-// collects).  The anonymous Expect/Ack pair remains for the serial
-// pipeline and stays bit-identical to it.
+// collects).
 type Handshake struct {
 	sim   *Sim
 	name  string
@@ -174,9 +173,6 @@ func (h *Handshake) Arm() {
 	}
 }
 
-// Expect registers n additional parties the owner will wait for.
-func (h *Handshake) Expect(n int) { h.need += n }
-
 // ExpectFrom registers one specific party the owner will wait for, so
 // that party's handler can discover the expectation via Wants.
 func (h *Handshake) ExpectFrom(t *Thread) {
@@ -195,17 +191,14 @@ func (h *Handshake) Wants(t *Thread) bool {
 }
 
 // AckFrom records t's acknowledgement of an ExpectFrom expectation.
-// Bookkeeping only, like Ack; the caller charges its own ACK store.
+// Bookkeeping only — the caller charges the visible-store cost of its
+// ACK itself.
 func (h *Handshake) AckFrom(t *Thread) {
 	if id := t.ID(); id < len(h.wants) {
 		h.wants[id] = false
 	}
 	h.got++
 }
-
-// Ack records one party's acknowledgement.  Bookkeeping only — the
-// caller charges the visible-store cost of its ACK itself.
-func (h *Handshake) Ack(*Thread) { h.got++ }
 
 // Await spins (interruptibly — SpinWait passes safepoints, so the owner
 // still answers signals) until every expected party has acked.
@@ -217,9 +210,6 @@ func (h *Handshake) acked() bool { return h.got >= h.need }
 
 // Need returns the number of parties the current phase expects.
 func (h *Handshake) Need() int { return h.need }
-
-// Outstanding returns how many expected acks have not yet arrived.
-func (h *Handshake) Outstanding() int { return h.need - h.got }
 
 // Barrier blocks threads until n of them arrive, then releases the
 // generation together.  Used by workloads to align start lines.

@@ -231,21 +231,42 @@ func TestHandshakeScanBarrier(t *testing.T) {
 	released := false
 	acked := 0
 	go1 := false
+	interrupts := 0
+	var owner *Thread
+	s.SetSignalHandler(1, func(th *Thread) {
+		if th == owner {
+			interrupts++
+		}
+	})
+	var party []*Thread
 	for i := 0; i < parties; i++ {
-		s.Spawn("party", func(th *Thread) {
+		party = append(party, s.Spawn("party", func(th *Thread) {
 			for !go1 {
 				th.Pause()
 			}
 			th.Work(int64(500 * (th.ID() + 1))) // stagger the acks
+			if th == party[0] {
+				th.Signal(owner, 1) // interrupt the owner's wait
+			}
 			acked++
-			hs.Ack(th)
-		})
+			hs.AckFrom(th)
+		}))
 	}
-	s.Spawn("owner", func(th *Thread) {
+	owner = s.Spawn("owner", func(th *Thread) {
 		hs.Arm()
-		hs.Expect(parties)
-		if hs.Outstanding() != parties || hs.Need() != parties {
-			t.Errorf("armed handshake: need %d outstanding %d", hs.Need(), hs.Outstanding())
+		for _, p := range party {
+			hs.ExpectFrom(p)
+		}
+		if hs.Need() != parties {
+			t.Errorf("armed handshake: need %d, want %d", hs.Need(), parties)
+		}
+		for _, p := range party {
+			if !hs.Wants(p) {
+				t.Errorf("armed handshake does not want party %d", p.ID())
+			}
+		}
+		if hs.Wants(th) {
+			t.Error("armed handshake wants the owner")
 		}
 		go1 = true
 		hs.Await(th)
@@ -253,8 +274,13 @@ func TestHandshakeScanBarrier(t *testing.T) {
 		if acked != parties {
 			t.Errorf("owner released after %d of %d acks", acked, parties)
 		}
-		if hs.Outstanding() != 0 {
-			t.Errorf("outstanding %d after release", hs.Outstanding())
+		if interrupts != 1 {
+			t.Errorf("owner answered %d interrupts while waiting, want 1", interrupts)
+		}
+		for _, p := range party {
+			if hs.Wants(p) {
+				t.Errorf("party %d still wanted after release", p.ID())
+			}
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -265,7 +291,12 @@ func TestHandshakeScanBarrier(t *testing.T) {
 	}
 	// Re-arming resets the generation.
 	hs.Arm()
-	if hs.Need() != 0 || hs.Outstanding() != 0 {
+	if hs.Need() != 0 {
 		t.Fatalf("re-armed handshake not empty: need %d", hs.Need())
+	}
+	for _, p := range party {
+		if hs.Wants(p) {
+			t.Fatalf("re-armed handshake still wants party %d", p.ID())
+		}
 	}
 }
