@@ -106,19 +106,6 @@ func BenchmarkAblationBufferSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLookup is A3: the TS-Scan membership structure
-// (paper's sorted binary search vs linear vs hash set).
-func BenchmarkAblationLookup(b *testing.B) {
-	for _, kind := range []string{"binary", "linear", "hash"} {
-		b.Run(kind, func(b *testing.B) {
-			cfg := fig3Point("list", "threadscan", 4)
-			cfg.Lookup = kind
-			cfg.BufferSize = 64 // keep linear mode tractable
-			benchPoint(b, cfg)
-		})
-	}
-}
-
 // BenchmarkAblationHelpFree is the §7 future-work extension: sharing
 // free() calls with scanners, versus the default reclaimer-frees-all.
 func BenchmarkAblationHelpFree(b *testing.B) {

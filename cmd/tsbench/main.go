@@ -1,8 +1,8 @@
 // Command tsbench regenerates the paper's evaluation — both figure
 // families (Figure 3: throughput scaling; Figure 4: oversubscription)
 // and the design-choice ablations selected by -ablation (A1 buffer
-// size, A2 scan cost, A3 scan lookup, A4 errant thread, A5 sharded
-// collect, through A10 bounded garbage under preemption) — and
+// size, A2 scan cost, A4 errant thread, A5 sharded collect, through A10
+// bounded garbage under preemption) — and
 // runs the declarative scenario suite (skew, delete storms, thread
 // churn, oversubscription) with memory-footprint telemetry.  `tsbench
 // golden` replays all of it against one checked-in manifest.

@@ -91,7 +91,7 @@ func runScenarios(args []string) {
 	// policy string) is a usage error at parse time, not a mid-grid
 	// failure — and never a silent clamp that reports results for a
 	// different machine than the one asked for.
-	if err := validateTopologyFlags(specs, *nodes, *pin, *claim, *perNode, *steal, *allocPol); err != nil {
+	if err := validateTopologyFlags(specs, *nodes, *pin, *claim, *perNode, *shards, *wmark, *steal, *allocPol); err != nil {
 		usageErr(err)
 	}
 
@@ -290,7 +290,7 @@ func createOutFile(flagName, path string) (*os.File, error) {
 // workload layer clamps Nodes to the core count for programmatic
 // callers; at the CLI that clamp would silently benchmark a different
 // machine than the user asked for, so here it is a usage error.
-func validateTopologyFlags(specs []workload.Scenario, nodes int, pin, claim string, perNode bool, steal int, allocPol string) error {
+func validateTopologyFlags(specs []workload.Scenario, nodes int, pin, claim string, perNode bool, shards, wmark, steal int, allocPol string) error {
 	switch pin {
 	case "", "none", "rr", "split":
 	default:
@@ -307,6 +307,12 @@ func validateTopologyFlags(specs []workload.Scenario, nodes int, pin, claim stri
 	}
 	if nodes < 0 {
 		return fmt.Errorf("-nodes %d: node count cannot be negative", nodes)
+	}
+	if shards < 0 {
+		return fmt.Errorf("-shards %d: shard count cannot be negative", shards)
+	}
+	if wmark < 0 {
+		return fmt.Errorf("-watermark %d: collect watermark cannot be negative", wmark)
 	}
 	if steal < 0 {
 		return fmt.Errorf("-steal %d: steal threshold cannot be negative", steal)

@@ -39,6 +39,8 @@ func TestValidateTopologyFlags(t *testing.T) {
 		pin      string
 		claim    string
 		perNode  bool
+		shards   int
+		wmark    int
 		steal    int
 		allocPol string
 		wantErr  string // substring; "" = must pass
@@ -57,6 +59,10 @@ func TestValidateTopologyFlags(t *testing.T) {
 			wantErr: "-claim"},
 		{name: "negative steal rejected", specs: builtins, steal: -8,
 			wantErr: "-steal"},
+		{name: "negative shards rejected", specs: builtins, shards: -3,
+			wantErr: "-shards"},
+		{name: "negative watermark rejected", specs: builtins, wmark: -7,
+			wantErr: "-watermark"},
 		{name: "pernode on flat scenario rejected", specs: []workload.Scenario{flat}, perNode: true,
 			wantErr: "multi-node"},
 		{name: "pernode flattened by -nodes 1 rejected", specs: []workload.Scenario{split}, nodes: 1, perNode: true,
@@ -79,7 +85,7 @@ func TestValidateTopologyFlags(t *testing.T) {
 		{name: "alloc policy on numa scenario passes", specs: []workload.Scenario{split}, allocPol: "localalloc"},
 	}
 	for _, tc := range cases {
-		err := validateTopologyFlags(tc.specs, tc.nodes, tc.pin, tc.claim, tc.perNode, tc.steal, tc.allocPol)
+		err := validateTopologyFlags(tc.specs, tc.nodes, tc.pin, tc.claim, tc.perNode, tc.shards, tc.wmark, tc.steal, tc.allocPol)
 		if tc.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error: %v", tc.name, err)

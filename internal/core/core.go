@@ -51,33 +51,12 @@ import (
 // thread", §6).
 const DefaultBufferSize = 1024
 
-// LookupKind selects how TS-Scan tests a stack word for membership in
-// the master buffer.  The paper sorts and binary-searches (§4.1); the
-// alternatives exist for the A3 ablation.
-type LookupKind int
+// SigNum is the simulated signal number scan requests are sent on.
+const SigNum simt.SigNum = 0
 
-const (
-	// LookupBinary sorts the master buffer and binary-searches each
-	// word (the paper's design).
-	LookupBinary LookupKind = iota
-	// LookupLinear scans the master buffer linearly per word.
-	LookupLinear
-	// LookupHash builds a hash set over the master buffer.
-	LookupHash
-)
-
-func (k LookupKind) String() string {
-	switch k {
-	case LookupBinary:
-		return "binary"
-	case LookupLinear:
-		return "linear"
-	case LookupHash:
-		return "hash"
-	default:
-		return fmt.Sprintf("LookupKind(%d)", int(k))
-	}
-}
+// helpFreeChunk caps how many queued nodes one scanner frees per TS-Scan
+// under HelpFree, bounding the handler latency the extension adds.
+const helpFreeChunk = 128
 
 // ClaimPolicy selects the order in which threads claim shard work
 // units — sort claims in the scan handler, sweep-list claims under
@@ -113,12 +92,6 @@ type Config struct {
 	// oversubscribed hash table.
 	BufferSize int
 
-	// Signal is the simulated signal number used for scan requests.
-	Signal simt.SigNum
-
-	// Lookup selects the scan membership structure (ablation A3).
-	Lookup LookupKind
-
 	// Shards is K, the number of address-sharded master sub-buffers the
 	// collect pipeline uses (rounded up to a power of two).  1 (the
 	// default) reproduces the paper's single serial master buffer
@@ -137,12 +110,9 @@ type Config struct {
 	// nodes are queued and freed by the *next* phase's scanners instead
 	// of all by the reclaimer, trading reclaimer latency for handler
 	// work.  Scanners claim per-shard free lists (one list that any
-	// thread may claim when Shards <= 1), chunk-bounded per handler.
+	// thread may claim when Shards <= 1), at most helpFreeChunk nodes
+	// per handler.
 	HelpFree bool
-
-	// HelpFreeChunk caps how many queued nodes one scanner frees per
-	// TS-Scan when HelpFree is on.  Defaults to 128.
-	HelpFreeChunk int
 
 	// Claim is the shard-claim order under a multi-node topology.
 	// Irrelevant (and free of any effect on cycle charges) when the
@@ -192,9 +162,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.BufferSize <= 0 {
 		c.BufferSize = DefaultBufferSize
-	}
-	if c.HelpFreeChunk <= 0 {
-		c.HelpFreeChunk = 128
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
@@ -399,7 +366,7 @@ func New(sim *simt.Sim, cfg Config) *ThreadScan {
 	} else {
 		ts.addSlot(-1, ts.lock, "threadscan.scan")
 	}
-	sim.SetSignalHandler(cfg.Signal, ts.scanHandler)
+	sim.SetSignalHandler(SigNum, ts.scanHandler)
 	sim.OnThreadStart(ts.threadStart)
 	sim.OnThreadExit(ts.threadExit)
 	return ts

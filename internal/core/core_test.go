@@ -250,12 +250,18 @@ func TestThreadExitOrphansBufferedNodes(t *testing.T) {
 	}
 }
 
+// TestHelpFreeSharesReclamation: under HelpFree a signaled scanner frees
+// part of the previous phase's unmarked nodes.  Each phase defers a
+// whole ring (256 nodes, one list at K = 1), so the scanner's claim
+// exceeds helpFreeChunk: it frees one chunk and the remainder must go
+// back for the reclaimer's drain, or those nodes leak.
 func TestHelpFreeSharesReclamation(t *testing.T) {
+	const retired = 1024
 	s := testSim(2, 11)
-	ts := New(s, Config{BufferSize: 16, HelpFree: true, HelpFreeChunk: 8})
+	ts := New(s, Config{BufferSize: 256, HelpFree: true})
 	done := false
 	s.Spawn("worker1", func(th *simt.Thread) {
-		churn(ts, th, 300)
+		churn(ts, th, retired)
 		done = true
 		ts.FlushAll(th)
 	})
@@ -268,8 +274,59 @@ func TestHelpFreeSharesReclamation(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := ts.Stats()
-	if st.HelpFreed == 0 {
-		t.Errorf("HelpFree mode never freed from a handler: %+v", st)
+	if st.HelpFreed == 0 || st.HelpFreed%helpFreeChunk != 0 {
+		t.Errorf("scanner help-frees are not whole chunks of %d: %+v", helpFreeChunk, st)
+	}
+	if st.Reclaimed+st.HelpFreed != retired {
+		t.Errorf("reclaimed %d + help-freed %d, want %d", st.Reclaimed, st.HelpFreed, retired)
+	}
+	if live := s.Heap().Stats().LiveBlocks; live != 0 {
+		t.Fatalf("leaked %d blocks", live)
+	}
+}
+
+// TestHelpFreeChunkRequeuesRemainder: a helper that claims a list
+// longer than helpFreeChunk frees one chunk and puts the rest back on
+// s.help, where the next helper and then the drain finish it.
+func TestHelpFreeChunkRequeuesRemainder(t *testing.T) {
+	const retired = 300
+	s := testSim(1, 59)
+	ts := New(s, Config{BufferSize: 512, HelpFree: true})
+	sl := ts.slots[0]
+	remaining := func() (n int) {
+		for _, l := range sl.help {
+			n += len(l.addrs)
+		}
+		return n
+	}
+	s.Spawn("worker", func(th *simt.Thread) {
+		churn(ts, th, retired)
+		ts.Collect(th) // defers all 300 as one list: no peer, no help yet
+		if len(sl.pending) != 1 || len(sl.pending[0].addrs) != retired {
+			t.Fatalf("deferred lists: %d, want one of %d", len(sl.pending), retired)
+		}
+		// What the next collect does before signaling its scanners.
+		sl.help, sl.pending = sl.pending, nil
+		for want := retired - helpFreeChunk; want > 0; want -= helpFreeChunk {
+			ts.helpFree(th)
+			if got := remaining(); got != want {
+				t.Fatalf("after a help-free chunk %d addresses remain on s.help, want %d", got, want)
+			}
+		}
+		if left := ts.FlushAll(th); left != 0 {
+			t.Errorf("FlushAll left %d nodes", left)
+		}
+		if n := remaining(); n != 0 {
+			t.Errorf("drain left %d help-queued addresses", n)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := ts.Stats()
+	if st.HelpFreed != 2*helpFreeChunk || st.Reclaimed != retired-2*helpFreeChunk {
+		t.Errorf("help-freed %d, reclaimed %d; want %d and %d",
+			st.HelpFreed, st.Reclaimed, 2*helpFreeChunk, retired-2*helpFreeChunk)
 	}
 	if live := s.Heap().Stats().LiveBlocks; live != 0 {
 		t.Fatalf("leaked %d blocks", live)
@@ -420,56 +477,54 @@ func TestDoubleRetireFreedOnce(t *testing.T) {
 }
 
 // TestDoubleRetireReferencedSurvives covers the nastier half of the
-// duplicate bug: with two copies in the master buffer, the probe marks
-// only one (binary search lands on the first; the hash keeps the last),
-// so the sweep would free the other copy of a node a thread still
-// references — a use-after-free, not just a double free.  Dedup leaves
-// one copy, the mark protects it, and the node survives until released.
+// duplicate bug: with two copies in the master buffer, the binary search
+// marks only the first, so the sweep would free the other copy of a
+// node a thread still references — a use-after-free, not just a double
+// free.  Dedup leaves one copy, the mark protects it, and the node
+// survives until released.
 func TestDoubleRetireReferencedSurvives(t *testing.T) {
-	for _, kind := range []LookupKind{LookupBinary, LookupHash} {
-		s := testSim(2, 37)
-		ts := New(s, Config{BufferSize: 16, Lookup: kind})
-		var node uint64
-		holding, release := false, false
-		s.Spawn("reader", func(th *simt.Thread) {
-			node = allocNode(th, 5, 11)
-			holding = true
-			for !release {
-				th.Load(6, 5, 0)
-				if th.Reg(6) != 11 {
-					t.Errorf("%v: referenced node clobbered", kind)
-					break
-				}
+	s := testSim(2, 37)
+	ts := New(s, Config{BufferSize: 16})
+	var node uint64
+	holding, release := false, false
+	s.Spawn("reader", func(th *simt.Thread) {
+		node = allocNode(th, 5, 11)
+		holding = true
+		for !release {
+			th.Load(6, 5, 0)
+			if th.Reg(6) != 11 {
+				t.Error("referenced node clobbered")
+				break
 			}
-			th.SetReg(5, 0)
-			th.SetReg(6, 0)
-		})
-		s.Spawn("bug", func(th *simt.Thread) {
-			for !holding {
-				th.Pause()
-			}
-			ts.Free(th, node)
-			ts.Free(th, node) // double retire while still referenced
-			churn(ts, th, 64) // force collects
-			if !s.Heap().LiveAt(node) {
-				t.Errorf("%v: referenced double-retired node was freed", kind)
-			}
-			release = true
-			for s.Heap().LiveAt(node) {
-				churn(ts, th, 16)
-				th.Work(1000)
-			}
-			ts.FlushAll(th)
-		})
-		if err := s.Run(); err != nil {
-			t.Fatalf("%v: %v", kind, err)
 		}
-		if st := ts.Stats(); st.DoubleRetires == 0 {
-			t.Fatalf("%v: duplicate never counted: %+v", kind, st)
+		th.SetReg(5, 0)
+		th.SetReg(6, 0)
+	})
+	s.Spawn("bug", func(th *simt.Thread) {
+		for !holding {
+			th.Pause()
 		}
-		if live := s.Heap().Stats().LiveBlocks; live != 0 {
-			t.Fatalf("%v: leaked %d blocks", kind, live)
+		ts.Free(th, node)
+		ts.Free(th, node) // double retire while still referenced
+		churn(ts, th, 64) // force collects
+		if !s.Heap().LiveAt(node) {
+			t.Error("referenced double-retired node was freed")
 		}
+		release = true
+		for s.Heap().LiveAt(node) {
+			churn(ts, th, 16)
+			th.Work(1000)
+		}
+		ts.FlushAll(th)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := ts.Stats(); st.DoubleRetires == 0 {
+		t.Fatalf("duplicate never counted: %+v", st)
+	}
+	if live := s.Heap().Stats().LiveBlocks; live != 0 {
+		t.Fatalf("leaked %d blocks", live)
 	}
 }
 

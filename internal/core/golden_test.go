@@ -64,14 +64,12 @@ func goldenCases() map[string][]goldenCase {
 	out := map[string][]goldenCase{}
 	for _, k := range []int{1, 8} {
 		for _, hf := range []bool{false, true} {
-			for _, lk := range []LookupKind{LookupBinary, LookupHash} {
-				for _, wm := range []int{0, 40} {
-					out["flat"] = append(out["flat"], goldenCase{
-						name:  fmt.Sprintf("k%d/helpfree=%v/%v/watermark=%d", k, hf, lk, wm),
-						nodes: 1,
-						cfg:   Config{BufferSize: 32, Shards: k, HelpFree: hf, Lookup: lk, CollectWatermark: wm},
-					})
-				}
+			for _, wm := range []int{0, 40} {
+				out["flat"] = append(out["flat"], goldenCase{
+					name:  fmt.Sprintf("k%d/helpfree=%v/watermark=%d", k, hf, wm),
+					nodes: 1,
+					cfg:   Config{BufferSize: 32, Shards: k, HelpFree: hf, CollectWatermark: wm},
+				})
 			}
 			for _, cl := range []ClaimPolicy{ClaimAffinity, ClaimRoundRobin} {
 				out["classic-2node"] = append(out["classic-2node"], goldenCase{

@@ -8,57 +8,6 @@ import (
 	"threadscan/internal/simt"
 )
 
-// runLookupWorkload runs a fixed seeded workload under the given lookup
-// kind and returns (reclaimed+helpFreed, remarked, leakedBlocks).
-func runLookupWorkload(t *testing.T, kind LookupKind, seed int64) (uint64, uint64, uint64) {
-	t.Helper()
-	s := simt.New(simt.Config{
-		Cores: 2, Quantum: 5_000, Seed: seed,
-		MaxCycles: 60_000_000_000,
-		Heap:      simmem.Config{Words: 1 << 19, Check: true, Poison: true},
-	})
-	ts := New(s, Config{BufferSize: 16, Lookup: kind})
-	for w := 0; w < 3; w++ {
-		s.Spawn("worker", func(th *simt.Thread) {
-			for j := 0; j < 60; j++ {
-				allocNode(th, 2, uint64(j))
-				held := th.Reg(2)
-				churn(ts, th, 4)
-				th.SetReg(2, 0)
-				ts.Free(th, held)
-			}
-			ts.FlushAll(th)
-		})
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("lookup %v seed %d: %v", kind, seed, err)
-	}
-	st := ts.Stats()
-	return st.Reclaimed + st.HelpFreed, st.Remarked, s.Heap().Stats().LiveBlocks
-}
-
-// TestQuickLookupKindsEquivalent: the three scan membership structures
-// (binary search, linear scan, hash set) must produce identical
-// reclamation decisions — they are cost-model variants of the same
-// predicate (ablation A3).
-func TestQuickLookupKindsEquivalent(t *testing.T) {
-	f := func(seedRaw uint8) bool {
-		seed := int64(seedRaw)
-		fb, _, lb := runLookupWorkload(t, LookupBinary, seed)
-		fl, _, ll := runLookupWorkload(t, LookupLinear, seed)
-		fh, _, lh := runLookupWorkload(t, LookupHash, seed)
-		if lb != 0 || ll != 0 || lh != 0 {
-			t.Logf("seed %d leaked: %d %d %d", seed, lb, ll, lh)
-			return false
-		}
-		// Every node retired was eventually reclaimed in each mode.
-		return fb == fl && fl == fh
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickShardRoutePartition: routing is a partition of the address
 // space — every address maps to exactly one in-range shard,
 // deterministically, and adding n addresses distributes exactly n nodes

@@ -8,8 +8,8 @@ import "slices"
 // buffer that a single reclaimer sorts and later sweeps alone — the
 // serial section Stamp-it and Crystalline identify as the reclaimer
 // bottleneck.  A shardSet splits that master buffer into K
-// address-sharded sub-buffers, each with its own sorted array (or hash
-// set) and mark bitmap, so that
+// address-sharded sub-buffers, each with its own sorted array and mark
+// bitmap, so that
 //
 //   - probes binary-search one shard: log2(n/K) steps instead of
 //     log2(n), on a cache-friendlier footprint;
@@ -38,12 +38,11 @@ type shardSet struct {
 
 // shard is one address partition of the master buffer.
 type shard struct {
-	buf   []uint64       // partition members; sorted+deduped once ready
-	marks []bool         // [i] set when buf[i] was seen by a scan
-	hash  map[uint64]int // LookupHash membership (addr -> index in buf)
-	ready bool           // prepared (sorted/hashed, deduped, marks sized)
-	votes []uint32       // per-node retire attribution (nil when flat)
-	home  int            // plurality node of votes; fixed after computeHomes
+	buf   []uint64 // partition members; sorted+deduped once ready
+	marks []bool   // [i] set when buf[i] was seen by a scan
+	ready bool     // prepared (sorted, deduped, marks sized)
+	votes []uint32 // per-node retire attribution (nil when flat)
+	home  int      // plurality node of votes; fixed after computeHomes
 }
 
 // newShardSet creates a set of k shards; k is rounded up to a power of

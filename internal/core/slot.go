@@ -374,7 +374,7 @@ func (ts *ThreadScan) signalPeers(t *simt.Thread, s *slot) {
 			parked = append(parked, threads[id])
 			continue
 		}
-		if t.Signal(threads[id], ts.cfg.Signal) {
+		if t.Signal(threads[id], SigNum) {
 			s.hs.ExpectFrom(threads[id])
 		}
 	}
@@ -395,23 +395,18 @@ func (ts *ThreadScan) scansParked(s *slot, p *simt.Thread) bool {
 }
 
 // prepareShard makes shard i of s's group probe-ready — sort+dedup
-// (binary/linear) or hash-set build (hash), plus the mark bitmap —
-// charging the paper's cost model to the preparing thread, which under
-// sharding may be a scanner inside its handler rather than the
-// reclaimer.  The prepare is atomic between safepoints, so a shard is
-// claimed and prepared by exactly one thread.  Reports whether this
-// call did the work.
+// plus the mark bitmap — charging the paper's cost model to the
+// preparing thread, which under sharding may be a scanner inside its
+// handler rather than the reclaimer.  The prepare is atomic between
+// safepoints, so a shard is claimed and prepared by exactly one thread.
+// Reports whether this call did the work.
 func (ts *ThreadScan) prepareShard(t *simt.Thread, s *slot, i int) bool {
 	sh := &s.shards.sub[i]
 	if sh.ready {
 		return false
 	}
 	if len(sh.buf) == 0 {
-		// Drop last collect's membership state: a stale hash entry (or
-		// mark slot) must not let a probe "hit" in a now-empty shard.
-		if sh.hash != nil {
-			clear(sh.hash)
-		}
+		// Keep marks sized to buf, as a prepare leaves them.
 		sh.marks = sh.marks[:0]
 		sh.ready = true
 		return false
@@ -419,33 +414,12 @@ func (ts *ThreadScan) prepareShard(t *simt.Thread, s *slot, i int) bool {
 	ts.obs.Begin(t, obs.StageSort)
 	c := ts.costs()
 	n := len(sh.buf)
-	switch ts.cfg.Lookup {
-	case LookupBinary, LookupLinear:
-		var dups int
-		sh.buf, dups = sortDedup(sh.buf)
-		t.Charge(int64(n) * int64(log2ceil(n)) * 2 * c.Step)
-		if dups > 0 {
-			ts.stats.DoubleRetires += uint64(dups)
-			t.Charge(int64(dups) * c.Step)
-		}
-	case LookupHash:
-		if sh.hash == nil {
-			sh.hash = make(map[uint64]int, n)
-		} else {
-			clear(sh.hash)
-		}
-		kept := sh.buf[:0]
-		for _, a := range sh.buf {
-			if _, dup := sh.hash[a]; dup {
-				ts.stats.DoubleRetires++
-				t.Charge(c.Step)
-				continue
-			}
-			sh.hash[a] = len(kept)
-			kept = append(kept, a)
-		}
-		sh.buf = kept
-		t.Charge(int64(n) * (c.Store + 2*c.Step))
+	var dups int
+	sh.buf, dups = sortDedup(sh.buf)
+	t.Charge(int64(n) * int64(log2ceil(n)) * 2 * c.Step)
+	if dups > 0 {
+		ts.stats.DoubleRetires += uint64(dups)
+		t.Charge(int64(dups) * c.Step)
 	}
 	if cap(sh.marks) < len(sh.buf) {
 		sh.marks = make([]bool, len(sh.buf))
@@ -556,7 +530,7 @@ func (ts *ThreadScan) helpSort(t *simt.Thread, want []*slot) {
 	}
 }
 
-// helpFree frees one HelpFreeChunk-bounded unit of previous phases'
+// helpFree frees one helpFreeChunk-bounded unit of previous phases'
 // unmarked nodes (§7 future work) from the slots' claimable sweep
 // lists: the scanner's own slots first (the classic slot, or its
 // node's), then — only past the steal threshold — an overloaded remote
@@ -568,7 +542,7 @@ func (ts *ThreadScan) helpFree(t *simt.Thread) {
 	}
 	ts.obs.Begin(t, obs.StageFree)
 	defer ts.obs.End(t)
-	n := ts.cfg.HelpFreeChunk
+	n := helpFreeChunk
 	my := t.Node()
 	for pass := 0; pass < 2 && n > 0; pass++ {
 		for _, s := range ts.slots {
@@ -626,7 +600,7 @@ func (ts *ThreadScan) helpFreeLists(t *simt.Thread, s *slot, budget int, stolen 
 		// may see these entries), but cap the handler's total work at
 		// one chunk: an oversized remainder goes back for the next
 		// helper, preserving the bounded-handler-latency trade
-		// HelpFreeChunk exists for.
+		// helpFreeChunk exists for.
 		pick := ts.claimable(s, t.Node())
 		if pick < 0 {
 			break // nothing left, or no local list: leave remote ones to their node
@@ -777,8 +751,8 @@ func (ts *ThreadScan) scanWord(t *simt.Thread, slots []*slot, w uint64) {
 // probe routes an in-heap, mask-cleaned address to its shard in s's
 // group and looks it up there, marking on a hit.  If the shard has not
 // been prepared yet (sharded pipeline only), the probing thread claims
-// and prepares it on the spot — scan-side help.  The three lookup
-// structures are semantically identical; they differ only in cost.
+// and prepares it on the spot — scan-side help.  The lookup is the
+// paper's binary search over the sorted shard (§4.1).
 func (ts *ThreadScan) probe(t *simt.Thread, s *slot, p uint64) {
 	c := ts.costs()
 	ss := s.shards
@@ -791,38 +765,18 @@ func (ts *ThreadScan) probe(t *simt.Thread, s *slot, p uint64) {
 		}
 	}
 	sh := &ss.sub[si]
-	idx := -1
-	switch ts.cfg.Lookup {
-	case LookupBinary:
-		lo, hi := 0, len(sh.buf)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			t.Charge(c.Load + c.Step)
-			if sh.buf[mid] < p {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(sh.buf) && sh.buf[lo] == p {
-			idx = lo
-		}
-	case LookupLinear:
-		for i, a := range sh.buf {
-			t.Charge(c.Load)
-			if a == p {
-				idx = i
-				break
-			}
-		}
-	case LookupHash:
-		t.Charge(c.Load + 3*c.Step)
-		if i, ok := sh.hash[p]; ok {
-			idx = i
+	lo, hi := 0, len(sh.buf)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		t.Charge(c.Load + c.Step)
+		if sh.buf[mid] < p {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	if idx >= 0 && !sh.marks[idx] {
-		sh.marks[idx] = true
+	if lo < len(sh.buf) && sh.buf[lo] == p && !sh.marks[lo] {
+		sh.marks[lo] = true
 		t.Charge(c.Store)
 	}
 }

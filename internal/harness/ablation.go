@@ -11,7 +11,9 @@ import (
 )
 
 // Ablations of the design choices: the paper's (A1 buffer size, A2 scan
-// cost, A3 scan lookup, A4 errant thread) and the extensions' (A5-A10).
+// cost, A4 errant thread) and the extensions' (A5-A10).  TS-Scan's lookup
+// is fixed to the paper's sorted binary search (§4.1), so there is no
+// A3.
 // Each is one declaration — a sweep of labelled scenario variants and
 // the table columns read from each run — executed by one runner
 // (Ablation.Run, the scenario engine) and rendered by one table writer
@@ -176,29 +178,6 @@ var Ablations = []Ablation{
 		Columns: []Column{throughputCol, collectsCol,
 			{"max_master", "", func(r *ScenarioResult) any { return r.Core.MaxMaster }},
 			{"signals", "", func(r *ScenarioResult) any { return r.Sim.SignalsSent }}},
-	},
-	{
-		// A3 — sorted binary search (the paper's §4.1 design) vs
-		// linear scan vs hash set, on the list with one thread per
-		// core.  Linear lookup is quadratic in the master buffer, so
-		// the buffers stay modest.
-		Name:   "lookup",
-		Title:  "A3: TS-Scan lookup structure (list, buffer 256)",
-		Labels: []string{"lookup"},
-		Variants: func(p AblationParams) ([]Variant, error) {
-			p.fill(3)
-			var vs []Variant
-			for _, k := range []string{"binary", "linear", "hash"} {
-				spec := paperPoint("list", "threadscan", p.SweepParams, p.Cores)
-				spec.Lookup = k
-				spec.BufferSize = 256
-				vs = append(vs, Variant{[]string{k}, spec})
-			}
-			return vs, nil
-		},
-		Columns: []Column{throughputCol,
-			{"handler_cycles", "", func(r *ScenarioResult) any { return r.Core.HandlerCycles }},
-			{"scanned_words", "", func(r *ScenarioResult) any { return r.Core.ScannedWords }}},
 	},
 	{
 		// A2 — "Stack scans are the main source of overhead for

@@ -85,7 +85,7 @@ var schemeRegistry = []schemeEntry{
 				claim = core.ClaimRoundRobin
 			}
 			ts := reclaim.NewThreadScan(sim, core.Config{
-				BufferSize: buf, HelpFree: s.HelpFree, Lookup: lookupKinds[s.Lookup],
+				BufferSize: buf, HelpFree: s.HelpFree,
 				Shards: s.Shards, CollectWatermark: s.Watermark, Claim: claim,
 				PerNode: s.PerNode, StealThreshold: s.StealThreshold,
 				SerializeCollects: s.SerializeCollects, Obs: rec})
@@ -100,15 +100,6 @@ var schemeRegistry = []schemeEntry{
 		build: func(sim *simt.Sim, s *workload.Scenario, batch int, rec *obs.Recorder) (reclaim.Scheme, *core.ThreadScan) {
 			return reclaim.NewHyaline(sim, reclaim.HyalineConfig{Batch: batch, Obs: rec}), nil
 		}},
-}
-
-// lookupKinds maps Scenario.Lookup names (validated by Fill) to core's
-// TS-Scan membership structures.
-var lookupKinds = map[string]core.LookupKind{
-	"":       core.LookupBinary,
-	"binary": core.LookupBinary,
-	"linear": core.LookupLinear,
-	"hash":   core.LookupHash,
 }
 
 // SchemeNames returns every registered scheme name in registry order.

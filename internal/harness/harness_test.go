@@ -65,11 +65,6 @@ func TestRunRejectsUnknownNames(t *testing.T) {
 	if _, err := RunScenario(quickPaper("list", "magic", 1)); err == nil {
 		t.Error("unknown scheme accepted")
 	}
-	bad := quickPaper("list", "threadscan", 1)
-	bad.Lookup = "btree"
-	if _, err := RunScenario(bad); err == nil {
-		t.Error("unknown scan lookup accepted")
-	}
 }
 
 func TestDeterministicResults(t *testing.T) {
@@ -220,26 +215,6 @@ func TestAblationBuffer(t *testing.T) {
 	}
 	if !strings.HasPrefix(buf.String(), "# A1: ") || !strings.Contains(buf.String(), "\n256 ") {
 		t.Fatalf("A1 table:\n%s", buf.String())
-	}
-}
-
-func TestAblationLookupAgree(t *testing.T) {
-	a := ablation(t, "lookup")
-	p := AblationParams{SweepParams: SweepParams{Scale: ScaleQuick, Cores: 2, Duration: 1_000_000, Seed: 9}}
-	rows := runTweaked(t, a, p, func(s *workload.Scenario) {})
-	if len(rows) != 3 {
-		t.Fatalf("rows: %d", len(rows))
-	}
-	// At short windows the three rows can be identical, so nothing but
-	// the labels tells a swapped registry entry apart.
-	for i, want := range []string{"binary", "linear", "hash"} {
-		if got := rows[i].Result.Scenario.Lookup; rows[i].Labels[0] != want || got != want {
-			t.Errorf("row %d: label %q runs lookup %q, want %q", i, rows[i].Labels[0], got, want)
-		}
-	}
-	var buf bytes.Buffer
-	if err := WriteAblationTable(&buf, a, rows); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -55,7 +55,7 @@ func makeScheme(name string, sim *simt.Sim) Scheme {
 	case "threadscan":
 		return NewThreadScan(sim, core.Config{BufferSize: 24})
 	case "threadscan-help":
-		return NewThreadScan(sim, core.Config{BufferSize: 24, HelpFree: true, HelpFreeChunk: 8})
+		return NewThreadScan(sim, core.Config{BufferSize: 24, HelpFree: true})
 	case "stacktrack":
 		return NewStackTrack(sim, StackTrackConfig{SegmentLen: 4, Batch: 24})
 	case "hyaline":

@@ -92,7 +92,7 @@ func TestThreadScanFlushDuringChurnedThreads(t *testing.T) {
 		numa bool
 	}{
 		{"classic", core.Config{BufferSize: 16}, false},
-		{"sharded-help", core.Config{BufferSize: 16, Shards: 8, HelpFree: true, HelpFreeChunk: 8}, false},
+		{"sharded-help", core.Config{BufferSize: 16, Shards: 8, HelpFree: true}, false},
 		{"pernode", core.Config{BufferSize: 16, Shards: 8, HelpFree: true, PerNode: true}, true},
 	}
 	for _, tc := range cases {

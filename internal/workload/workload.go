@@ -128,11 +128,6 @@ type Scenario struct {
 	BufferSize int
 	Batch      int
 
-	// Lookup selects threadscan's TS-Scan membership structure
-	// (ablation A3): ""/"binary" (the paper's sorted binary search),
-	// "linear" or "hash".  Fill rejects any other name.
-	Lookup string
-
 	// SlowDelay is slow-epoch's errant cleanup stall in cycles (0 =
 	// the paper's 40 ms).
 	SlowDelay int64
@@ -255,7 +250,7 @@ type Scenario struct {
 	SampleEvery int64 // metrics-engine sampling interval (0 = duration/64)
 
 	// CacheSim turns on the simulator's per-core cache model, the
-	// machine the paper's figures and ablations A1-A3 run on.
+	// machine the paper's figures and ablations A1 and A2 run on.
 	CacheSim bool
 
 	// Chaos enables the scheduler's seeded adversarial mode: eligible
@@ -365,11 +360,6 @@ func (s *Scenario) Fill() error {
 	case "", "affinity", "rr":
 	default:
 		return fmt.Errorf("workload: %s: unknown claim policy %q", s.Name, s.ClaimPolicy)
-	}
-	switch s.Lookup {
-	case "", "binary", "linear", "hash":
-	default:
-		return fmt.Errorf("workload: %s: unknown scan lookup %q", s.Name, s.Lookup)
 	}
 	if _, err := simmem.ParsePolicy(s.AllocPolicy); err != nil {
 		return fmt.Errorf("workload: %s: %w", s.Name, err)

@@ -80,26 +80,17 @@ func DefaultCosts() CostModel { return simt.DefaultCosts() }
 
 // The ThreadScan protocol (the paper's contribution).
 type (
-	// Config parameterizes a ThreadScan domain: delete buffer size,
-	// scan lookup structure, and the sharded collect pipeline's knobs —
-	// Shards (K address-sharded master sub-buffers that scanners help
-	// sort), CollectWatermark (adaptive global collect trigger), and
-	// HelpFree (the §7 scanner-assisted sweep).
+	// Config parameterizes a ThreadScan domain: delete buffer size and
+	// the sharded collect pipeline's knobs — Shards (K address-sharded
+	// master sub-buffers that scanners help sort), CollectWatermark
+	// (adaptive global collect trigger), and HelpFree (the §7
+	// scanner-assisted sweep).
 	Config = core.Config
 	// ThreadScan is a reclamation domain: per-thread delete buffers and
 	// the signal-and-scan collect protocol.
 	ThreadScan = reclaim.ThreadScan
 	// Stats are ThreadScan protocol counters.
 	Stats = core.Stats
-	// LookupKind selects the TS-Scan membership structure.
-	LookupKind = core.LookupKind
-)
-
-// TS-Scan lookup structures (ablation A3; the paper uses LookupBinary).
-const (
-	LookupBinary = core.LookupBinary
-	LookupLinear = core.LookupLinear
-	LookupHash   = core.LookupHash
 )
 
 // New creates a ThreadScan reclamation domain bound to sim.  It must be
